@@ -409,8 +409,6 @@ def refine_with_engine(expr):
 
 # -- (de)serialization --------------------------------------------------------
 
-_NODE_TYPES = {}
-
 
 def expr_to_json(expr):
     return json.dumps(expr.to_dict(), indent=2)

@@ -427,10 +427,6 @@ def torus_link(p, q):
     return parse_braid(word, p)
 
 
-def torus_braid_word(p, q):
-    return list(range(1, p)) * q
-
-
 # -- diagram operations ---------------------------------------------------
 
 

@@ -14,9 +14,7 @@ def _normalize(vec):
         g = gcd(g, v)
         if g == 1:
             return vec
-    if g > 1:
-        return {k: v // g for k, v in vec.items()}
-    return vec
+    return {k: v // g for k, v in vec.items()}
 
 
 class Echelon:
@@ -30,27 +28,31 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, vec):
-        """Residue of ``vec`` modulo the current span (up to scale)."""
-        vec = dict(vec)
+        """Residue of ``vec`` modulo the current span (up to scale): its
+        smallest index is not a pivot, and it is gcd-normalized."""
+        vec = {k: v for k, v in vec.items() if v}
         while vec:
-            # reduce against known pivots, smallest index first
             p = min(vec)
-            if vec[p] == 0:
-                del vec[p]
-                continue
             row = self.pivots.get(p)
             if row is None:
-                return _normalize(vec)
+                break
+            # vec <- a*vec - b*row with a, b coprime and a > 0
             a, b = row[p], vec[p]
-            vec = {k: a * v for k, v in vec.items()}
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                vec = {k: a * v for k, v in vec.items()}
             for k, v in row.items():
                 newv = vec.get(k, 0) - b * v
                 if newv:
                     vec[k] = newv
                 else:
-                    vec.pop(k, None)
-            vec = _normalize(vec)
-        return vec
+                    del vec[k]
+            if a != 1:
+                vec = _normalize(vec)
+        return _normalize(vec)
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""

@@ -12,6 +12,7 @@ from . import calculus as ca
 from . import diagram as dg
 from . import lee
 from . import movie as mv
+from .errors import InconsistentDiagram, LinkError
 
 
 def corpus(max_crossings=16):
@@ -215,7 +216,7 @@ def check_reidemeister(seed=0, max_crossings=8):
             d2 = mv.apply_move(d, mv.Move("R2", edges=(a, b)))
             try:
                 s = lee.s2(d2)
-            except Exception:
+            except InconsistentDiagram:
                 continue
             n += 1
             if s != base:
@@ -257,7 +258,7 @@ def check_interval_soundness(seed=0, max_crossings=16, count=20):
         expr = _random_expr(rng, rng.randint(1, 3))
         try:
             d = expr.realize()
-        except Exception:
+        except LinkError:
             continue
         if d.n_crossings > max_crossings or d.n_components == 0:
             continue

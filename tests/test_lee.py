@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksn import diagram as dg
-from linksn import lee
+from linksn import lee, linalg
 from linksn.errors import InconsistentDiagram, NotACycle, TooLarge, ZeroClass
 
 
@@ -139,3 +141,64 @@ def test_mirror_negates_s2():
         window = 2 * d.n_components - 2
         total = lee.s2(d) + lee.s2(m)
         assert 0 <= total <= window
+
+
+def reference_qgr(cx, chain):
+    """The level scan: the class reaches level j iff the part of the chain
+    above j lies in the span of the parts of the boundaries above j."""
+    boundaries = cx.boundary_columns(-1)
+    if linalg.in_span(boundaries, chain):
+        raise ZeroClass("chain is a boundary")
+
+    def above(vec, j):
+        return {i: v for i, v in vec.items() if cx.basis_q[i] > j}
+
+    best = max(cx.basis_q[i] for i in chain)
+    levels = sorted({cx.basis_q[i] for i in cx.by_h[0]}, reverse=True)
+    for j in (j for j in levels if j < best):
+        cols = [pb for pb in (above(b, j) for b in boundaries) if pb]
+        if not linalg.in_span(cols, above(chain, j)):
+            break
+        best = j
+    return best
+
+
+def level_or_zero(qgr, chain):
+    try:
+        return qgr(chain)
+    except ZeroClass:
+        return None
+
+
+mixed_braids = st.integers(2, 4).flatmap(lambda strands: st.tuples(
+    st.lists(st.integers(1 - strands, strands - 1).filter(bool),
+             min_size=1, max_size=7),
+    st.just(strands)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_braids)
+def test_qgr_matches_level_scan(braid):
+    cx = complex_for(*braid)
+    chains = [cx.canonical_cycle(label).chain for label in (1, -1)]
+    chains += [cx.h_cycle(p).chain for p in (0, 1)]
+    for chain in chains:
+        assert (level_or_zero(cx.qgr, chain)
+                == level_or_zero(lambda c: reference_qgr(cx, c), chain))
+
+
+def test_one_boundary_echelon_per_complex(monkeypatch):
+    cx = complex_for([1, -2, 1, -2, 1], 3)
+    assert cx.by_h[-1]
+    built = []
+    init = linalg.Echelon.__init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+    monkeypatch.setattr(linalg.Echelon, "__init__", counted)
+    cx.s2()
+    cx.low_generator()
+    for label in (1, -1):
+        cx.qgr(cx.canonical_cycle(label).chain)
+    assert len(built) == 1

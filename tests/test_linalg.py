@@ -75,3 +75,32 @@ def test_echelon_contains_its_inputs(rows):
     assert grew == linalg.rank(rows)
     for r in rows:
         assert ech.contains(r)
+
+
+def _dense_in_span(rows, target, width):
+    return _dense_rank(rows + [target], width) == _dense_rank(rows, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors, st.lists(st.integers(-4, 4), min_size=8, max_size=8),
+       st.dictionaries(st.integers(0, 5), st.integers(-4, 4).filter(bool),
+                       max_size=2))
+def test_residue_leads_where_projection_leaves_span(rows, coeffs, noise):
+    target = dict(noise)
+    for r, c in zip(rows, coeffs):
+        for k, v in r.items():
+            target[k] = target.get(k, 0) + c * v
+    target = {k: v for k, v in target.items() if v}
+    ech = linalg.Echelon()
+    for r in rows:
+        ech.add(r)
+    residue = ech.reduce(target)
+
+    def head(vec, j):
+        return {k: v for k, v in vec.items() if k <= j}
+
+    leaves = [j for j in range(6)
+              if not _dense_in_span([head(r, j) for r in rows],
+                                    head(target, j), 6)]
+    assert (not residue) == _dense_in_span(rows, target, 6)
+    assert min(residue, default=None) == min(leaves, default=None)
