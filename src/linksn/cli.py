@@ -84,7 +84,7 @@ def _diagram_values(d, n_range, max_crossings):
     return values
 
 
-def _bounds_dict(d, values, source):
+def _bounds_dict(d, values, source, max_crossings):
     bounds = {}
     l = d.n_components
     for n, v in values.items():
@@ -100,7 +100,8 @@ def _bounds_dict(d, values, source):
             bounds["sp_torus"] = ca.torus_splitting(p, q)
     if l > 1 and 2 in values and values[2].exact:
         try:
-            parts = [ca.SnValue(2, *(lee.s2(dg.sublink(d, [i])),) * 2)
+            parts = [ca.SnValue(2, *(lee.s2(dg.sublink(d, [i]),
+                                            max_crossings),) * 2)
                      for i in range(l)]
             bounds["sp_lb"] = ca.sp_lower_bound(values[2], parts, l)
         except (LinkError, ValueError):
@@ -137,7 +138,9 @@ def _emit(report, as_json, out):
         print(f"  # {line}", file=out)
 
 
-def cmd_invariant(args, out):
+def cmd_diagram(args, out):
+    """``invariant`` and ``bounds``: the same report, but only
+    ``invariant`` fills in the trace."""
     d, source = _diagram_from_args(args)
     if d.n_components == 0:
         report = _report(d, source, {}, {}, [])
@@ -146,23 +149,10 @@ def cmd_invariant(args, out):
         return 2
     n_range = _parse_n_range(args.n)
     values = _diagram_values(d, n_range, args.max_crossings)
-    bounds = _bounds_dict(d, values, source)
-    trace = [t for v in values.values() for t in v.trace]
+    bounds = _bounds_dict(d, values, source, args.max_crossings)
+    trace = ([t for v in values.values() for t in v.trace]
+             if args.command == "invariant" else [])
     _emit(_report(d, source, values, bounds, trace), args.json, out)
-    return 0
-
-
-def cmd_bounds(args, out):
-    d, source = _diagram_from_args(args)
-    if d.n_components == 0:
-        report = _report(d, source, {}, {}, [])
-        report["error"] = "ExplicitEmpty"
-        _emit(report, args.json, out)
-        return 2
-    n_range = _parse_n_range(args.n)
-    values = _diagram_values(d, n_range, args.max_crossings)
-    bounds = _bounds_dict(d, values, source)
-    _emit(_report(d, source, values, bounds, []), args.json, out)
     return 0
 
 
@@ -250,15 +240,12 @@ def build_parser():
                     "splitting bounds, and cobordism certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariant", help="s_n of a diagram")
-    _add_input_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser("bounds", help="genus / splitting bounds")
-    _add_input_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_bounds)
+    for name, text in (("invariant", "s_n of a diagram"),
+                       ("bounds", "genus / splitting bounds")):
+        p = sub.add_parser(name, help=text)
+        _add_input_flags(p)
+        _add_common_flags(p)
+        p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("eval", help="evaluate an expression file")
     p.add_argument("--expr", required=True, metavar="FILE")

@@ -194,6 +194,48 @@ class LinkDiagram:
             groups.setdefault(find(e), set()).add(e)
         return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
 
+    def circle_counts(self):
+        """``len(self.circles(t))`` for every ``t`` in ``range(2**N)``.
+
+        A depth-first walk fixes one crossing's smoothing per level and
+        undoes its unions on the way back (union by size, no path
+        compression), so a cube vertex costs O(1) unions on average, not
+        one per crossing.
+        """
+        index = {e: k for k, e in enumerate(self.edges)}
+        pairs = [[[(index[u], index[v]) for u, v in x.smoothing(t)]
+                  for t in (0, 1)] for x in self.crossings]
+        parent = list(range(len(index)))
+        size = [1] * len(index)
+        counts = [0] * (1 << self.n_crossings)
+
+        def find(k):
+            while parent[k] != k:
+                k = parent[k]
+            return k
+
+        def walk(i, t, r):
+            if i == len(pairs):
+                counts[t] = r
+                return
+            for bit in (0, 1):
+                joined = []
+                for u, v in pairs[i][bit]:
+                    ru, rv = find(u), find(v)
+                    if ru != rv:
+                        if size[ru] > size[rv]:
+                            ru, rv = rv, ru
+                        parent[ru] = rv
+                        size[rv] += size[ru]
+                        joined.append(ru)
+                walk(i + 1, t | bit << i, r - len(joined))
+                for ru in reversed(joined):
+                    size[parent[ru]] -= size[ru]
+                    parent[ru] = ru
+
+        walk(0, 0, len(index))
+        return counts
+
     @cached_property
     def oriented_mask(self):
         """Cube coordinates of the oriented resolution."""

@@ -20,6 +20,16 @@ Zomorodian 2002; the filtered view of ``s`` in Rasmussen, math/0402131):
 the degree -1 boundaries are eliminated once per complex with degree-0
 rows numbered from the highest q down, and a cycle's filtration level is
 the q of the leading term of its residue.
+
+``s2`` reads only homological degrees -1, 0 and 1, so ``lee.s2`` builds
+the complex in the window (-1, 1): the resolutions with |t| - N_minus in
+that range and the differential out of degrees -1 and 0.  ``dim`` counts
+the generators built, not the full cube's.  Non-planar input is still
+rejected on the whole cube: the circle count r(t) of every resolution is
+computed (``LinkDiagram.circle_counts``).  One smoothing change moves r
+by -1 (merge), +1 (split) or 0, so an edge with r(t | 1<<i) == r(t) is
+exactly the neither-merge-nor-split case, and there is none exactly when
+r(t) + |t| has the same parity at every t.
 """
 
 import json
@@ -48,7 +58,17 @@ class HClass:
 
 
 class FilteredComplex:
-    def __init__(self, diagram, max_crossings=DEFAULT_MAX_CROSSINGS):
+    """The complex in homological degrees ``window = (lo, hi)``.
+
+    The default window is the whole cube.  A narrower one builds only the
+    resolutions with ``lo <= h <= hi`` and the differential out of degrees
+    ``lo..hi-1``; questions that need a degree outside it raise
+    ``ValueError``.  A degree outside the cube is empty, so it never needs
+    building: the window is clipped to the cube's degrees.
+    """
+
+    def __init__(self, diagram, max_crossings=DEFAULT_MAX_CROSSINGS,
+                 window=None):
         if diagram.n_crossings > max_crossings:
             raise TooLarge(
                 f"{diagram.n_crossings} crossings exceeds limit {max_crossings}")
@@ -56,6 +76,11 @@ class FilteredComplex:
         self.n = diagram.n_crossings
         self.writhe = diagram.writhe
         self.n_minus = sum(1 for x in diagram.crossings if x.sign < 0)
+        self.degrees = (-self.n_minus, self.n - self.n_minus)  # the cube's
+        lo, hi = self.degrees if window is None else window
+        if lo > hi:
+            raise ValueError(f"empty homological window {window}")
+        self.window = (max(lo, self.degrees[0]), min(hi, self.degrees[1]))
         self._build()
 
     # -- construction ----------------------------------------------------
@@ -63,19 +88,31 @@ class FilteredComplex:
     def _build(self):
         d = self.diagram
         n = self.n
-        self.circles = {}      # t -> tuple of frozensets
+        lo, hi = self.window
+        counts = d.circle_counts()
+        self.cube_dim = sum(1 << r for r in counts)
+        self.circles = {}      # t -> tuple of frozensets, for t in the window
         self.start = {}        # t -> first basis index
         self.basis_t = []      # per basis element
         self.basis_subset = []
         self.basis_h = []
         self.basis_q = []
+        # One smoothing change moves the circle count by -1 (merge), +1
+        # (split) or 0, and 0 happens only for a non-planar PD.  So every
+        # cube edge, inside the window or not, is a merge or a split
+        # exactly when r(t) + h(t) has one parity on the whole cube.
+        parity = (counts[0] - self.n_minus) % 2
         idx = 0
-        for t in range(1 << n):
-            circ = d.circles(t)
-            self.circles[t] = circ
-            self.start[t] = idx
-            r = len(circ)
+        for t, r in enumerate(counts):
             h = bin(t).count("1") - self.n_minus
+            if (r + h) % 2 != parity:
+                raise InconsistentDiagram(
+                    "smoothing change is neither a merge nor a split "
+                    "(input PD is not planar)")
+            if not lo <= h <= hi:
+                continue
+            self.circles[t] = d.circles(t)
+            self.start[t] = idx
             for subset in range(1 << r):
                 self.basis_t.append(t)
                 self.basis_subset.append(subset)
@@ -91,11 +128,32 @@ class FilteredComplex:
 
         # differential columns: basis index -> list of (row, coeff)
         self.columns = [[] for _ in range(self.dim)]
-        for t in range(1 << n):
-            for i in range(n):
-                if (t >> i) & 1:
-                    continue
-                self._add_edge_maps(t, i)
+        for t in self.start:
+            if bin(t).count("1") - self.n_minus < hi:
+                for i in range(n):
+                    if not (t >> i) & 1:
+                        self._add_edge_maps(t, i)
+
+    def _require(self, a, b, question):
+        """Raise ValueError unless degrees ``a..b`` are all built."""
+        lo, hi = self.window
+        h_min, h_max = self.degrees
+        for h in range(a, b + 1):
+            if not (lo <= h <= hi or not h_min <= h <= h_max):
+                raise ValueError(
+                    f"{question} needs homological degrees {a}..{b}, "
+                    f"but the complex holds only {lo}..{hi}")
+
+    def stats(self):
+        """Sizes of what was built, and of the full cube for comparison."""
+        return {
+            "window": list(self.window),
+            "resolutions": len(self.start),
+            "dim": self.dim,
+            "nnz": sum(len(c) for c in self.columns),
+            "boundary_cols": len(self.by_h.get(-1, ())),
+            "cube_dim": self.cube_dim,
+        }
 
     def _add_edge_maps(self, t, i):
         d = self.diagram
@@ -114,13 +172,7 @@ class FilteredComplex:
             raise InconsistentDiagram(
                 "resolution change moved a circle it should not touch")
 
-        merge = len(src_active) == 2 and len(dst_active) == 1
-        split = len(src_active) == 1 and len(dst_active) == 2
-        if not (merge or split):
-            raise InconsistentDiagram(
-                "smoothing change is neither a merge nor a split "
-                "(input PD is not planar)")
-
+        merge = len(src_active) == 2  # _build rules out anything else
         r_src = len(src)
         for subset in range(1 << r_src):
             col = self.start[t] + subset
@@ -160,6 +212,7 @@ class FilteredComplex:
 
     def boundary_columns(self, h):
         """Images of the basis elements in homological degree h."""
+        self._require(h, h + 1, f"the boundary map out of degree {h}")
         return [dict(self.columns[i]) for i in self.by_h.get(h, [])]
 
     def homology_rank(self, h):
@@ -169,6 +222,7 @@ class FilteredComplex:
         return dim_h - rank_out - rank_in
 
     def homology_dimension(self):
+        self._require(*self.degrees, "homology_dimension")
         return sum(self.homology_rank(h) for h in self.by_h)
 
     # -- the quantum filtration grading ------------------------------------
@@ -183,6 +237,7 @@ class FilteredComplex:
         """
         if not chain:
             raise ZeroClass("the zero chain has no filtration grading")
+        self._require(-1, 1, "qgr")
         if any(self.basis_h[i] for i in chain):
             raise NotACycle("chain is not homogeneous of homological degree 0")
         if self.apply_differential(chain):
@@ -256,6 +311,7 @@ class FilteredComplex:
         circles of (x_c + label_c) with alternating per-circle labels."""
         if label not in (1, -1):
             raise ValueError("label must be +1 or -1")
+        self._require(0, 1, "canonical_cycle")
         coloring = self.seifert_coloring()
         eps = [label * (1 if col == 0 else -1) for col in coloring]
         chain = self._product_chain(eps)
@@ -283,6 +339,7 @@ class FilteredComplex:
         signed so that the +1 canonical cycle equals h_0 + h_1."""
         if p not in (0, 1):
             raise ValueError("p must be 0 or 1")
+        self._require(0, 1, "h_cycle")
         coloring = self.seifert_coloring()
         eps = [1 if col == 0 else -1 for col in coloring]
         chain = self._product_chain(eps, parity=p)
@@ -305,6 +362,7 @@ class FilteredComplex:
     # -- debug dump ------------------------------------------------------------
 
     def dump_json(self):
+        self._require(*self.degrees, "dump_json")
         triplets = []
         for col in range(self.dim):
             for row, coeff in self.columns[col]:
@@ -325,4 +383,5 @@ def s2(diagram, max_crossings=DEFAULT_MAX_CROSSINGS):
     """The n=2 concordance invariant of the link presented by ``diagram``."""
     if diagram.n_components == 0:
         raise ValueError("s2 of the empty link is undefined")
-    return FilteredComplex(diagram, max_crossings=max_crossings).s2()
+    return FilteredComplex(diagram, max_crossings=max_crossings,
+                           window=(-1, 1)).s2()

@@ -1,10 +1,12 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from linksn import cli
 from linksn import diagram as dg
+from linksn import lee
 from linksn import movie as mv
 
 
@@ -131,3 +133,29 @@ def test_json_report_roundtrips():
     _, report = run_json("invariant", "--torus", "2", "4")
     again = json.loads(json.dumps(report))
     assert again == report
+
+
+def test_invariant_and_bounds_reports_unchanged():
+    """Both commands print, byte for byte, the reports recorded when each
+    still had its own handler: a torus link and a braid, with and
+    without the trace."""
+    cases = json.loads((Path(__file__).parent / "data" /
+                        "cli_reports.json").read_text())
+    assert {c["argv"][0] for c in cases} == {"invariant", "bounds"}
+    for case in cases:
+        assert run_cli(*case["argv"]) == (0, case["stdout"])
+
+
+def test_bounds_passes_max_crossings_to_sublinks(monkeypatch):
+    seen = []
+    s2 = lee.s2
+
+    def recording(d, max_crossings=lee.DEFAULT_MAX_CROSSINGS):
+        seen.append((d.n_components, max_crossings))
+        return s2(d, max_crossings)
+    monkeypatch.setattr(lee, "s2", recording)
+    code, report = run_json("bounds", "--torus", "2", "4",
+                            "--max-crossings", "20")
+    assert code == 0
+    assert report["bounds"]["sp_lb"] == 2
+    assert seen == [(2, 20), (1, 20), (1, 20)]

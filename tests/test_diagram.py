@@ -1,6 +1,7 @@
 import pytest
 
 from linksn import diagram as dg
+from linksn import movie as mv
 from linksn.errors import (
     GeneratorOutOfRange,
     InconsistentDiagram,
@@ -179,3 +180,14 @@ def test_resolution_stats():
 def test_canonical_is_stable():
     d = dg.torus_link(3, 4).canonical()
     assert d.canonical().crossings == d.crossings
+
+
+def test_circle_counts_match_circles():
+    tref = dg.parse_braid([1, 1, 1], 2)
+    kink = mv.apply_move(dg.unknot(), mv.Move("R1+", edges=(1,)))
+    kinked = dg.disjoint_union(kink, dg.unknot())   # plus a free circle
+    for d in (dg.unknot(), kinked, tref, dg.torus_link(3, 4),
+              dg.parse_braid([1, -2, 1, -2, 3, -1], 4),
+              dg.disjoint_union(tref, dg.mirror(tref))):
+        assert d.circle_counts() == [len(d.circles(t))
+                                     for t in range(1 << d.n_crossings)]

@@ -170,14 +170,15 @@ def level_or_zero(qgr, chain):
         return None
 
 
-mixed_braids = st.integers(2, 4).flatmap(lambda strands: st.tuples(
-    st.lists(st.integers(1 - strands, strands - 1).filter(bool),
-             min_size=1, max_size=7),
-    st.just(strands)))
+def mixed_braids(max_crossings):
+    return st.integers(2, 4).flatmap(lambda strands: st.tuples(
+        st.lists(st.integers(1 - strands, strands - 1).filter(bool),
+                 min_size=1, max_size=max_crossings),
+        st.just(strands)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(mixed_braids)
+@given(mixed_braids(7))
 def test_qgr_matches_level_scan(braid):
     cx = complex_for(*braid)
     chains = [cx.canonical_cycle(label).chain for label in (1, -1)]
@@ -202,3 +203,124 @@ def test_one_boundary_echelon_per_complex(monkeypatch):
     for label in (1, -1):
         cx.qgr(cx.canonical_cycle(label).chain)
     assert len(built) == 1
+
+
+# -- homological windows ------------------------------------------------------
+
+
+def window_view(cx):
+    """What s2 reads off a complex: s2, the low generator's parity and
+    level, and qgr of both canonical labels."""
+    p, _, level = cx.low_generator()
+    labels = [level_or_zero(cx.qgr, cx.canonical_cycle(label).chain)
+              for label in (1, -1)]
+    return cx.s2(), p, level, labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_braids(8))
+def test_window_matches_full_cube(braid):
+    d = dg.parse_braid(*braid)
+    full = lee.FilteredComplex(d)
+    narrow = lee.FilteredComplex(d, window=(-1, 1))
+    assert window_view(narrow) == window_view(full)
+    assert lee.s2(d) == full.s2()
+    assert narrow.dim <= full.dim == narrow.cube_dim
+    # the window holds degrees -1..1 and the differential out of -1 and 0
+    assert narrow.dim == sum(len(full.by_h.get(h, ())) for h in (-1, 0, 1))
+    assert narrow.stats()["nnz"] == sum(len(full.columns[i]) for h in (-1, 0)
+                                        for i in full.by_h.get(h, ()))
+
+
+def merges_or_splits_everywhere(d):
+    """Reference planarity test, read from the circles themselves: every
+    cube edge merges two circles into one or splits one into two."""
+    circle_of = {}    # t -> {edge: index of its circle in d.circles(t)}
+
+    def active(t, x):
+        if t not in circle_of:
+            circle_of[t] = {e: k for k, c in enumerate(d.circles(t))
+                            for e in c}
+        return len({circle_of[t][e] for e in x.edges})
+
+    return all(sorted((active(t, x), active(t | 1 << i, x))) == [1, 2]
+               for t in range(1 << d.n_crossings)
+               for i, x in enumerate(d.crossings) if not (t >> i) & 1)
+
+
+def test_window_rejects_r2_splices_like_the_reference():
+    from linksn import movie as mv
+    from linksn import verify
+    spliced = rejected = 0
+    for _, d, _ in verify.corpus(6):
+        for a in d.edges:
+            for b in d.edges:
+                if a == b:
+                    continue
+                d2 = mv.apply_move(d, mv.Move("R2", edges=(a, b)))
+                try:
+                    lee.FilteredComplex(d2, window=(-1, 1))
+                    planar = True
+                except InconsistentDiagram:
+                    planar = False
+                assert planar == merges_or_splits_everywhere(d2), (d2, a, b)
+                spliced += 1
+                rejected += not planar
+    assert spliced > 1000 and 0 < rejected < spliced
+
+
+def test_planarity_test_reads_the_whole_cube(monkeypatch):
+    # counts with r unchanged only on the edges into the top resolution
+    # (h = 3), far outside the window (0, 1) that s2 builds
+    d = dg.parse_braid([1, 1, 1], 2)
+    counts = d.circle_counts()
+    assert counts[0b111] == 3 and counts[0b011] == 2
+    counts[0b111] = 2
+    monkeypatch.setattr(d, "circle_counts", lambda: counts)
+    with pytest.raises(InconsistentDiagram):
+        lee.s2(d)
+
+
+def test_window_questions_outside_it_raise():
+    d = dg.parse_braid([1, -2, 1, -2], 3)      # degrees -2..2
+    cx = lee.FilteredComplex(d, window=(-1, 1))
+    assert cx.window == (-1, 1)
+    assert cx.homology_rank(0) == lee.FilteredComplex(d).homology_rank(0)
+    for question in (lambda: cx.homology_rank(-1),
+                     lambda: cx.homology_rank(1),
+                     cx.homology_dimension, cx.dump_json):
+        with pytest.raises(ValueError):
+            question()
+    shifted = lee.FilteredComplex(d, window=(0, 2))
+    with pytest.raises(ValueError):
+        shifted.qgr(shifted.canonical_cycle(1).chain)
+    with pytest.raises(ValueError):
+        lee.FilteredComplex(d, window=(1, 0))
+
+
+def test_window_clips_to_the_cube():
+    # a positive diagram has no degree -1, so (-1, 1) answers qgr and
+    # the full cube answers every degree, its end degrees included
+    cx = complex_for([1, 1, 1], 2)
+    assert cx.window == (0, 3)
+    assert [cx.homology_rank(h) for h in range(4)] == [2, 0, 0, 0]
+    narrow = lee.FilteredComplex(cx.diagram, window=(-1, 1))
+    assert narrow.window == (0, 1)
+    assert narrow.s2() == -2
+    assert narrow.homology_rank(0) == 2
+
+
+def test_stats():
+    d = dg.parse_braid([1, 1, 1], 2)
+    # resolutions: r = 2 at h = 0, 1 at h = 1, 2 at h = 2, 3 at h = 3
+    assert lee.FilteredComplex(d, window=(-1, 1)).stats() == {
+        "window": [0, 1], "resolutions": 4, "dim": 4 + 3 * 2,
+        "nnz": 4 * 3, "boundary_cols": 0, "cube_dim": 30}
+    full = lee.FilteredComplex(d).stats()
+    assert full["window"] == [0, 3] and full["resolutions"] == 8
+    assert full["dim"] == full["cube_dim"] == 30
+    cx = complex_for([1, -2, 1, -2], 3)
+    st_ = cx.stats()
+    assert st_["nnz"] == sum(len(c) for c in cx.columns)
+    assert st_["boundary_cols"] == len(cx.by_h[-1])
+    assert st_["dim"] == st_["cube_dim"] == len(cx.basis_h)

@@ -78,6 +78,66 @@ def test_r2_insert_remove_roundtrip():
     assert back.same_diagram(TREFOIL)
 
 
+def faces(d):
+    """Faces of the diagram's 4-valent graph: orbits of 'cross the edge
+    in slot k, then turn to the next slot counterclockwise'."""
+    ends = {}
+    for j, x in enumerate(d.crossings):
+        for k, e in enumerate(x.edges):
+            ends.setdefault(e, []).append((j, k))
+    seen = set()
+    count = 0
+    for start in ends.values():
+        for slot in start:
+            if slot in seen:
+                continue
+            count += 1
+            while slot not in seen:
+                seen.add(slot)
+                j, k = slot
+                a, b = ends[d.crossings[j].edges[k]]
+                j, k = b if a == slot else a
+                slot = (j, (k + 1) % 4)
+    return count
+
+
+def pieces(d):
+    """Connected components of the crossings, joined along edges."""
+    root = list(range(d.n_crossings))
+
+    def find(j):
+        while root[j] != j:
+            j = root[j]
+        return j
+
+    at = {}
+    for j, x in enumerate(d.crossings):
+        for e in x.edges:
+            at.setdefault(e, []).append(j)
+    for first, *rest in at.values():
+        for j in rest:
+            root[find(j)] = find(first)
+    return len({find(j) for j in range(d.n_crossings)})
+
+
+def test_face_count_on_planar_diagrams():
+    # Euler's formula per piece: c - 2c + F = 2
+    planar = [TREFOIL, dg.parse_braid([1, -2, 1, -2], 3), dg.torus_link(3, 4),
+              dg.disjoint_union(TREFOIL, TREFOIL),
+              mv.apply_move(TREFOIL, mv.Move("R2", edges=(1, 4)))]
+    for d in planar:
+        assert faces(d) == d.n_crossings + 2 * pieces(d)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "R2 on trefoil edges (2, 5), which bound a common bigon face, builds "
+    "a non-planar PD (5 faces for 5 crossings), and neither apply_move "
+    "nor the engine's merge/split test rejects it"))
+def test_r2_insert_keeps_the_diagram_planar():
+    d = mv.apply_move(TREFOIL, mv.Move("R2", edges=(2, 5)))
+    assert faces(d) == d.n_crossings + 2 * pieces(d)
+
+
 def test_r2_on_unlink():
     d = mv.apply_move(dg.unlink(2), mv.Move("R2", edges=(1, 2)))
     assert d.n_crossings == 2 and d.n_components == 2
