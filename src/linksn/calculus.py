@@ -14,6 +14,7 @@ from . import diagram as dg
 from . import lee
 from .errors import (
     InexactInput,
+    InputError,
     MixedN,
     NotCoprime,
     NotPositiveDiagram,
@@ -415,31 +416,45 @@ def expr_to_json(expr):
 
 
 def expr_from_dict(data):
+    if not isinstance(data, dict):
+        raise InputError(f"an expression node must be a JSON object, "
+                         f"not {type(data).__name__}")
     kind = data.get("type")
+
+    def need(key, expected=object):
+        if key not in data:
+            raise InputError(f"{kind} node needs {key!r}")
+        if not isinstance(data[key], expected):
+            raise InputError(f"{key!r} of a {kind} node must be a "
+                             f"{expected.__name__}, not "
+                             f"{type(data[key]).__name__}")
+        return data[key]
+
     if kind == "PositiveDiagram":
-        return PositiveDiagram(dg.parse_pd(data["pd"]))
+        return PositiveDiagram(dg.parse_pd(need("pd", str)))
     if kind == "EngineDiagram":
-        return EngineDiagram(dg.parse_pd(data["pd"]))
+        return EngineDiagram(dg.parse_pd(need("pd", str)))
     if kind == "Unknot":
         return Unknot()
     if kind == "StronglySliceLink":
-        return StronglySliceLink(data["l"])
+        return StronglySliceLink(need("l", int))
     if kind == "KnownValue":
-        return KnownValue(data["n"], data["value"], data["l"],
+        return KnownValue(need("n", int), need("value", int), need("l", int),
                           data.get("provenance", ""))
     if kind == "DisjointUnion":
-        return DisjointUnion([expr_from_dict(c) for c in data["children"]])
+        return DisjointUnion([expr_from_dict(c)
+                              for c in need("children", list)])
     if kind == "ConnectSum":
-        return ConnectSum(expr_from_dict(data["left"]),
-                          expr_from_dict(data["right"]),
+        return ConnectSum(expr_from_dict(need("left")),
+                          expr_from_dict(need("right")),
                           data.get("i1", 0), data.get("i2", 0))
     if kind == "Mirror":
-        return Mirror(expr_from_dict(data["child"]))
+        return Mirror(expr_from_dict(need("child")))
     if kind == "CrossingChange":
-        return CrossingChange(expr_from_dict(data["child"]),
+        return CrossingChange(expr_from_dict(need("child")),
                               data.get("crossing"))
     if kind == "ConcordantTo":
-        return ConcordantTo(expr_from_dict(data["child"]),
+        return ConcordantTo(expr_from_dict(need("child")),
                             data.get("note", ""))
     raise UnevaluableLeaf(f"unknown expression node {kind!r}")
 

@@ -21,15 +21,19 @@ the degree -1 boundaries are eliminated once per complex with degree-0
 rows numbered from the highest q down, and a cycle's filtration level is
 the q of the leading term of its residue.
 
-``s2`` reads only homological degrees -1, 0 and 1, so ``lee.s2`` builds
-the complex in the window (-1, 1): the resolutions with |t| - N_minus in
-that range and the differential out of degrees -1 and 0.  ``dim`` counts
-the generators built, not the full cube's.  Non-planar input is still
-rejected on the whole cube: the circle count r(t) of every resolution is
-computed (``LinkDiagram.circle_counts``).  One smoothing change moves r
-by -1 (merge), +1 (split) or 0, so an edge with r(t | 1<<i) == r(t) is
-exactly the neither-merge-nor-split case, and there is none exactly when
-r(t) + |t| has the same parity at every t.
+``s2`` reads only homological degrees -1 and 0: the level of a degree-0
+cycle depends only on the degree -1 boundaries that land in degree 0.
+So ``lee.s2`` builds the complex in the window (-1, 0): the resolutions
+with |t| - N_minus in that range and the differential out of degree -1.
+That a degree-0 chain is a cycle is still checked, on demand: the edge
+maps out of the chain's own resolutions are applied, and the circles of
+each neighbouring resolution are memoized on the complex.  ``dim``
+counts the generators built, not the full cube's.  Non-planar input is
+still rejected on the whole cube: the circle count r(t) of every
+resolution is computed (``LinkDiagram.circle_counts``).  One smoothing
+change moves r by -1 (merge), +1 (split) or 0, so an edge with
+r(t | 1<<i) == r(t) is exactly the neither-merge-nor-split case, and
+there is none exactly when r(t) + |t| has the same parity at every t.
 """
 
 import json
@@ -40,6 +44,7 @@ from . import linalg
 from .errors import InconsistentDiagram, NotACycle, TooLarge, ZeroClass
 
 DEFAULT_MAX_CROSSINGS = 16
+S2_WINDOW = (-1, 0)   # the homological degrees qgr reads
 
 
 @dataclass
@@ -62,7 +67,8 @@ class FilteredComplex:
 
     The default window is the whole cube.  A narrower one builds only the
     resolutions with ``lo <= h <= hi`` and the differential out of degrees
-    ``lo..hi-1``; questions that need a degree outside it raise
+    ``lo..hi-1``; a cycle check in degree ``hi`` applies the differential
+    on demand.  Questions that need a degree outside the window raise
     ``ValueError``.  A degree outside the cube is empty, so it never needs
     building: the window is clipped to the cube's degrees.
     """
@@ -87,16 +93,18 @@ class FilteredComplex:
 
     def _build(self):
         d = self.diagram
-        n = self.n
         lo, hi = self.window
         counts = d.circle_counts()
         self.cube_dim = sum(1 << r for r in counts)
-        self.circles = {}      # t -> tuple of frozensets, for t in the window
-        self.start = {}        # t -> first basis index
+        # t -> tuple of frozensets, for t in the window and for the
+        # neighbours an on-demand cycle check has visited
+        self.circles = {}
+        self.start = {}        # t -> first basis index, for t in the window
         self.basis_t = []      # per basis element
         self.basis_subset = []
         self.basis_h = []
         self.basis_q = []
+        self.by_h = {}
         # One smoothing change moves the circle count by -1 (merge), +1
         # (split) or 0, and 0 happens only for a non-planar PD.  So every
         # cube edge, inside the window or not, is a merge or a split
@@ -113,26 +121,27 @@ class FilteredComplex:
                 continue
             self.circles[t] = d.circles(t)
             self.start[t] = idx
-            for subset in range(1 << r):
-                self.basis_t.append(t)
-                self.basis_subset.append(subset)
-                self.basis_h.append(h)
-                self.basis_q.append(
-                    2 * bin(subset).count("1") - r - self.writhe - h)
-                idx += 1
+            size = 1 << r
+            self.basis_t.extend([t] * size)
+            self.basis_subset.extend(range(size))
+            self.basis_h.extend([h] * size)
+            q0 = -r - self.writhe - h
+            self.basis_q.extend([q0 + 2 * s.bit_count() for s in range(size)])
+            self.by_h.setdefault(h, []).extend(range(idx, idx + size))
+            idx += size
         self.dim = idx
-
-        self.by_h = {}
-        for i, h in enumerate(self.basis_h):
-            self.by_h.setdefault(h, []).append(i)
 
         # differential columns: basis index -> list of (row, coeff)
         self.columns = [[] for _ in range(self.dim)]
-        for t in self.start:
-            if bin(t).count("1") - self.n_minus < hi:
-                for i in range(n):
-                    if not (t >> i) & 1:
-                        self._add_edge_maps(t, i)
+        for t, first in self.start.items():
+            if bin(t).count("1") - self.n_minus == hi:
+                continue
+            cols = self.columns[first:first + (1 << len(self.circles[t]))]
+            for t2, sign, images in self._edge_maps(t):
+                offset = self.start[t2]
+                for image in images:
+                    for col, out in zip(cols, image):
+                        col.append((offset + out, sign))
 
     def _require(self, a, b, question):
         """Raise ValueError unless degrees ``a..b`` are all built."""
@@ -155,45 +164,56 @@ class FilteredComplex:
             "cube_dim": self.cube_dim,
         }
 
-    def _add_edge_maps(self, t, i):
-        d = self.diagram
-        t2 = t | (1 << i)
-        src, dst = self.circles[t], self.circles[t2]
-        sign = -1 if bin(t & ((1 << i) - 1)).count("1") % 2 else 1
-        touched = set(d.crossings[i].edges)
+    def _circles(self, t):
+        """The circles of resolution t, memoized on the complex."""
+        if t not in self.circles:
+            self.circles[t] = self.diagram.circles(t)
+        return self.circles[t]
 
-        src_active = [k for k, c in enumerate(src) if c & touched]
-        dst_active = [k for k, c in enumerate(dst) if c & touched]
-        dst_lookup = {c: k for k, c in enumerate(dst)}
-        # circles untouched by crossing i are carried across by identity
-        carry = {k: dst_lookup[c] for k, c in enumerate(src)
-                 if k not in src_active and c in dst_lookup}
-        if len(carry) != len(src) - len(src_active):
-            raise InconsistentDiagram(
-                "resolution change moved a circle it should not touch")
+    def _edge_maps(self, t):
+        """The cube edges out of resolution t, as (t2, sign, images).
 
-        merge = len(src_active) == 2  # _build rules out anything else
-        r_src = len(src)
-        for subset in range(1 << r_src):
-            col = self.start[t] + subset
-            base = 0
-            for k, k2 in carry.items():
-                if (subset >> k) & 1:
-                    base |= 1 << k2
-            if merge:
-                e1 = (subset >> src_active[0]) & 1
-                e2 = (subset >> src_active[1]) & 1
-                out = base | ((e1 ^ e2) << dst_active[0])
-                self.columns[col].append((self.start[t2] + out, sign))
-            else:
-                e = (subset >> src_active[0]) & 1
-                k1, k2 = dst_active
-                if e == 0:
-                    terms = (1 << k1, 1 << k2)
+        Each image list holds, for every subset s of t's circles, the
+        subset of t2's circles that one term of the edge map sends s to;
+        a merge has one term, a split two.  A list is built by doubling,
+        once per source circle: that circle's bit flips the bit of the
+        target circle it lands on.  XOR makes the two merged circles
+        multiply (1*1 = x*x = 1, 1*x = x), and for a split it turns the
+        two terms of D(1) into those of D(x).
+        """
+        src = self._circles(t)
+        for i, x in enumerate(self.diagram.crossings):
+            if (t >> i) & 1:
+                continue
+            t2 = t | (1 << i)
+            dst = self._circles(t2)
+            sign = -1 if bin(t & ((1 << i) - 1)).count("1") % 2 else 1
+            touched = set(x.edges)
+            dst_index = {c: k for k, c in enumerate(dst)}
+            dst_active = [k for k, c in enumerate(dst) if c & touched]
+            flips = []
+            for c in src:
+                if c & touched:
+                    # the merged circle, or the second circle of a split
+                    flips.append(1 << dst_active[-1])
+                elif c in dst_index:
+                    # circles untouched by crossing i are carried across
+                    flips.append(1 << dst_index[c])
                 else:
-                    terms = ((1 << k1) | (1 << k2), 0)
-                for out in terms:
-                    self.columns[col].append((self.start[t2] + base + out, sign))
+                    raise InconsistentDiagram(
+                        "resolution change moved a circle it should not "
+                        "touch")
+            # _build rules out anything but a merge into one circle or a
+            # split into two
+            starts = (0,) if len(dst_active) == 1 else (
+                1 << dst_active[0], 1 << dst_active[1])
+            images = []
+            for first in starts:
+                image = [first]
+                for m in flips:
+                    image += [out ^ m for out in image]
+                images.append(image)
+            yield t2, sign, images
 
     # -- chain-level helpers ----------------------------------------------
 
@@ -209,6 +229,34 @@ class FilteredComplex:
             if self.apply_differential(dict(self.columns[i])):
                 return False
         return True
+
+    def _is_cycle(self, chain):
+        """Whether d(chain) = 0.
+
+        The built columns give d out of the degrees below the window's
+        top.  Out of the top degree, whose images are not built, d is
+        applied on demand from the edge maps out of the chain's own
+        resolutions.  The two parts land in different degrees, so
+        neither can cancel the other.
+        """
+        top = self.window[1]
+        below, by_t = {}, {}
+        for i, v in chain.items():
+            if self.basis_h[i] < top:
+                below[i] = v
+            else:
+                by_t.setdefault(self.basis_t[i], []).append(
+                    (self.basis_subset[i], v))
+        if self.apply_differential(below):
+            return False
+        out = {}
+        for t, terms in by_t.items():
+            for t2, sign, images in self._edge_maps(t):
+                for image in images:
+                    for subset, v in terms:
+                        key = (t2, image[subset])
+                        out[key] = out.get(key, 0) + sign * v
+        return not any(out.values())
 
     def boundary_columns(self, h):
         """Images of the basis elements in homological degree h."""
@@ -237,10 +285,10 @@ class FilteredComplex:
         """
         if not chain:
             raise ZeroClass("the zero chain has no filtration grading")
-        self._require(-1, 1, "qgr")
+        self._require(-1, 0, "qgr")
         if any(self.basis_h[i] for i in chain):
             raise NotACycle("chain is not homogeneous of homological degree 0")
-        if self.apply_differential(chain):
+        if not self._is_cycle(chain):
             raise NotACycle("chain is not a cycle")
 
         order, position, ech = self._filtered
@@ -311,12 +359,12 @@ class FilteredComplex:
         circles of (x_c + label_c) with alternating per-circle labels."""
         if label not in (1, -1):
             raise ValueError("label must be +1 or -1")
-        self._require(0, 1, "canonical_cycle")
+        self._require(0, 0, "canonical_cycle")
         coloring = self.seifert_coloring()
         eps = [label * (1 if col == 0 else -1) for col in coloring]
         chain = self._product_chain(eps)
         cls = CanonicalClass(label=label, circle_labels=tuple(eps), chain=chain)
-        if self.apply_differential(chain):
+        if not self._is_cycle(chain):
             raise InconsistentDiagram("canonical chain is not a cycle")
         return cls
 
@@ -339,11 +387,11 @@ class FilteredComplex:
         signed so that the +1 canonical cycle equals h_0 + h_1."""
         if p not in (0, 1):
             raise ValueError("p must be 0 or 1")
-        self._require(0, 1, "h_cycle")
+        self._require(0, 0, "h_cycle")
         coloring = self.seifert_coloring()
         eps = [1 if col == 0 else -1 for col in coloring]
         chain = self._product_chain(eps, parity=p)
-        if self.apply_differential(chain):
+        if not self._is_cycle(chain):
             raise InconsistentDiagram("h-chain is not a cycle")
         return HClass(p=p, chain=chain)
 
@@ -375,13 +423,9 @@ class FilteredComplex:
         })
 
 
-def build_filtered_complex(diagram, max_crossings=DEFAULT_MAX_CROSSINGS):
-    return FilteredComplex(diagram, max_crossings=max_crossings)
-
-
 def s2(diagram, max_crossings=DEFAULT_MAX_CROSSINGS):
     """The n=2 concordance invariant of the link presented by ``diagram``."""
     if diagram.n_components == 0:
         raise ValueError("s2 of the empty link is undefined")
     return FilteredComplex(diagram, max_crossings=max_crossings,
-                           window=(-1, 1)).s2()
+                           window=S2_WINDOW).s2()

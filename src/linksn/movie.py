@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import diagram as dg
 from .diagram import Crossing, LinkDiagram, _crossing_from_strands
-from .errors import InapplicableMove, NotEndingInUnlink
+from .errors import InapplicableMove, InputError, NotEndingInUnlink
 
 CHI = {"R1+": 0, "R1-": 0, "R2": 0, "R3": 0, "H0": 1, "H1": -1, "H2": 1}
 
@@ -317,7 +317,6 @@ def apply_move(d, m):
 class Ledger:
     chi: int
     end: LinkDiagram
-    fate: dict                   # root label -> "survives" / "annihilated"
     frames: list                 # diagrams D_0 ... D_n
     kinds: list                  # per-move phase class: O R U I T
     k: int                       # connected components of the swept surface
@@ -330,17 +329,17 @@ class Ledger:
         """The concordance-inequality instance this movie witnesses.
 
         The inequality needs the composite map to carry the canonical
-        generator to a nonzero multiple; every elementary move does this
-        except a 0-handle, whose new circle must be fused into the rest
-        before the end of the movie.
+        generator to a nonzero multiple.  Constant labelings merge equal
+        labels under fusion and duplicate under fission, so every
+        elementary move does this except a 0-handle, whose new circle
+        must be fused into the rest before the end of the movie.
         """
-        survives = all(v == "survives" for v in self.fate.values())
         return {
             "theorem": "cobordism inequality",
             "chi": self.chi,
             "inequality": (f"s_n(start) - (n-1)*({self.chi}) >= s_n(end)"
                            " for all n >= 2"),
-            "applies": survives and self.h0_absorbed,
+            "applies": self.h0_absorbed,
         }
 
 
@@ -417,11 +416,8 @@ def validate_movie(movie):
     k = len({find(s) for s in range(next_id)})
     start_roots = {find(s) for s in range(n_start_sheets)}
     h0_absorbed = all(find(s) in start_roots for s in h0_sheets)
-    # constant labelings merge equal labels under fusion and duplicate
-    # under fission, so they always survive
-    fate = {1: "survives", -1: "survives"}
-    return Ledger(chi=chi, end=d, fate=fate, frames=frames, kinds=kinds,
-                  k=k, h0_absorbed=h0_absorbed)
+    return Ledger(chi=chi, end=d, frames=frames, kinds=kinds, k=k,
+                  h0_absorbed=h0_absorbed)
 
 
 def generator_fate(movie, labeling, birth_label=1):
@@ -569,16 +565,23 @@ def save_movie(movie, path):
             fh.write(json.dumps(m.to_dict()) + "\n")
 
 
+def _field(data, key, number):
+    """``data[key]``, where ``data`` is the movie's ``number``-th record."""
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"movie record {number} is not a JSON object "
+                         f"with {key!r}")
+    return data[key]
+
+
 def movie_from_lines(lines):
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise NotEndingInUnlink("empty movie file")
-    head = json.loads(lines[0])
-    start = dg.parse_pd(head["start"])
+    start = dg.parse_pd(_field(json.loads(lines[0]), "start", 1))
     moves = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         data = json.loads(ln)
-        moves.append(Move(kind=data["kind"],
+        moves.append(Move(kind=_field(data, "kind", number),
                           edges=tuple(data.get("edges", ())),
                           crossings=tuple(data.get("crossings", ())),
                           comment=data.get("comment", "")))

@@ -48,9 +48,12 @@ def corpus(max_crossings=16):
             if d.n_crossings <= max_crossings]
 
 
-def _complexes(max_crossings):
+def _complexes(max_crossings, window=None):
+    """The corpus complexes, over the whole cube unless ``window`` says
+    otherwise; suites that only ask qgr questions pass ``lee.S2_WINDOW``."""
     for name, d, _ in corpus(max_crossings):
-        yield name, lee.FilteredComplex(d, max_crossings=max_crossings)
+        yield name, lee.FilteredComplex(d, max_crossings=max_crossings,
+                                        window=window)
 
 
 def check_known_values(seed=0, max_crossings=16):
@@ -107,7 +110,7 @@ def check_label_independence(seed=0, max_crossings=16):
     """qgr of the canonical cycle is the same for both root labels."""
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings):
+    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
         n += 1
         g_plus = cx.qgr(cx.canonical_cycle(1).chain)
         g_minus = cx.qgr(cx.canonical_cycle(-1).chain)
@@ -120,7 +123,7 @@ def check_max_identity(seed=0, max_crossings=16):
     """qgr of the canonical cycle equals the max over its parity pieces."""
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings):
+    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
         n += 1
         g = cx.qgr(cx.canonical_cycle(1).chain)
         parts = [cx.qgr(cx.h_cycle(p).chain) for p in (0, 1)]
@@ -133,7 +136,7 @@ def check_eq41(seed=0, max_crossings=16):
     """qgr(h_p) = 2p + (1-n)(w + r) mod 2n at n = 2."""
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings):
+    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
         st = dg.resolution_stats(cx.diagram)
         for p in (0, 1):
             n += 1
@@ -147,7 +150,7 @@ def check_eq41(seed=0, max_crossings=16):
 def check_low_generator(seed=0, max_crossings=16):
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings):
+    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
         n += 1
         p, cls, level = cx.low_generator()
         g = cx.qgr(cx.canonical_cycle(1).chain)

@@ -159,3 +159,40 @@ def test_bounds_passes_max_crossings_to_sublinks(monkeypatch):
     assert code == 0
     assert report["bounds"]["sp_lb"] == 2
     assert seen == [(2, 20), (1, 20), (1, 20)]
+
+
+def run_on_file(tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    flag = {"eval": "--expr", "movie": "--movie"}[command]
+    return run_cli(command, flag, str(path))[0]
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_eval_rejects_a_top_level_list(tmp_path, capsys):
+    assert run_on_file(tmp_path, "eval", '[{"type": "Unknot"}]') == 2
+    assert_one_line_error(capsys)
+
+
+def test_eval_rejects_a_node_without_its_child(tmp_path, capsys):
+    assert run_on_file(tmp_path, "eval", '{"type": "Mirror"}') == 2
+    assert_one_line_error(capsys)
+
+
+def test_eval_rejects_a_field_of_the_wrong_type(tmp_path, capsys):
+    for text in ('{"type": "DisjointUnion", "children": 5}',
+                 '{"type": "StronglySliceLink", "l": "2"}',
+                 '{"type": "Mirror", "child": {"type": "EngineDiagram", '
+                 '"pd": 5}}'):
+        assert run_on_file(tmp_path, "eval", text) == 2
+        assert_one_line_error(capsys)
+
+
+def test_movie_rejects_a_file_without_start(tmp_path, capsys):
+    text = '{"pd": "X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]"}\n{"kind": "H0"}\n'
+    assert run_on_file(tmp_path, "movie", text) == 2
+    assert_one_line_error(capsys)

@@ -220,16 +220,131 @@ def window_view(cx):
 @settings(max_examples=40, deadline=None)
 @given(mixed_braids(8))
 def test_window_matches_full_cube(braid):
+    # lee.s2's window (-1, 0), and (-1, 1), which also builds d out of 0
     d = dg.parse_braid(*braid)
     full = lee.FilteredComplex(d)
-    narrow = lee.FilteredComplex(d, window=(-1, 1))
-    assert window_view(narrow) == window_view(full)
     assert lee.s2(d) == full.s2()
-    assert narrow.dim <= full.dim == narrow.cube_dim
-    # the window holds degrees -1..1 and the differential out of -1 and 0
-    assert narrow.dim == sum(len(full.by_h.get(h, ())) for h in (-1, 0, 1))
-    assert narrow.stats()["nnz"] == sum(len(full.columns[i]) for h in (-1, 0)
-                                        for i in full.by_h.get(h, ()))
+    for window in (lee.S2_WINDOW, (-1, 1)):
+        narrow = lee.FilteredComplex(d, window=window)
+        assert window_view(narrow) == window_view(full)
+        assert narrow.dim <= full.dim == narrow.cube_dim
+        # the window holds degrees lo..hi and the differential out of
+        # lo..hi-1, clipped to the cube
+        degrees = range(max(window[0], full.degrees[0]), window[1] + 1)
+        assert narrow.dim == sum(len(full.by_h.get(h, ())) for h in degrees)
+        assert narrow.stats()["nnz"] == sum(
+            len(full.columns[i]) for h in degrees[:-1]
+            for i in full.by_h.get(h, ()))
+
+
+def test_narrow_cycle_check_reaches_out_of_the_window():
+    # in (-1, 0) the images of degree-0 chains lie in degree 1, which is
+    # not built; qgr must still tell cycles from non-cycles
+    d = dg.parse_braid([1, -2, 1, -2], 3)
+    full = lee.FilteredComplex(d)
+    narrow = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    assert narrow.window == (-1, 0) and 1 not in narrow.by_h
+    g = narrow.canonical_cycle(1).chain
+    rejected = 0
+    for i in full.by_h[0]:
+        image = full.apply_differential({i: 1})
+        j = narrow.start[full.basis_t[i]] + full.basis_subset[i]
+        if not image:
+            continue
+        assert {full.basis_h[row] for row in image} == {1}
+        rejected += 1
+        with pytest.raises(NotACycle):
+            narrow.qgr({j: 1})
+        with pytest.raises(NotACycle):
+            narrow.qgr({**g, j: g.get(j, 0) + 1})
+    assert rejected > 0
+    # the terms of a cycle's images cancel across its resolutions
+    assert narrow.qgr(g) == full.qgr(full.canonical_cycle(1).chain)
+
+
+def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
+    d = dg.parse_braid([1, -2, 1, -2, 1], 3)
+    calls = []
+    circles = d.circles
+    monkeypatch.setattr(d, "circles",
+                        lambda t: calls.append(t) or circles(t))
+    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    built = len(calls)
+    assert built == cx.stats()["resolutions"]
+    cx.canonical_cycle(1)
+    # the crossings out of the oriented resolution reach new neighbours
+    neighbours = len(calls) - built
+    assert neighbours == sum(
+        1 for i in range(d.n_crossings)
+        if not (d.oriented_mask >> i) & 1
+        and (d.oriented_mask | 1 << i) not in cx.start)
+    assert neighbours > 0
+    cx.s2()
+    cx.low_generator()
+    assert len(calls) == built + neighbours
+
+
+def test_cycles_need_degree_zero_only():
+    d = dg.parse_braid([1, -2, 1, -2], 3)      # degrees -2..2
+    zero = lee.FilteredComplex(d, window=(0, 0))
+    full = lee.FilteredComplex(d)
+
+    def generators(cx, chain):
+        return {(cx.basis_t[i], cx.basis_subset[i]): v
+                for i, v in chain.items()}
+    for cycle in (lambda cx: cx.canonical_cycle(1),
+                  lambda cx: cx.canonical_cycle(-1),
+                  lambda cx: cx.h_cycle(0), lambda cx: cx.h_cycle(1)):
+        assert (generators(zero, cycle(zero).chain)
+                == generators(full, cycle(full).chain))
+    with pytest.raises(ValueError):
+        zero.qgr(zero.canonical_cycle(1).chain)
+    above = lee.FilteredComplex(d, window=(1, 2))
+    with pytest.raises(ValueError):
+        above.canonical_cycle(1)
+
+
+def reference_columns(cx):
+    """The full cube's differential, one source subset at a time: carried
+    circles copied bit by bit, the active ones multiplied or split."""
+    columns = [[] for _ in range(cx.dim)]
+    for t in sorted(cx.start):
+        for i, x in enumerate(cx.diagram.crossings):
+            if (t >> i) & 1:
+                continue
+            t2 = t | 1 << i
+            src, dst = cx.circles[t], cx.circles[t2]
+            sign = (-1) ** bin(t & ((1 << i) - 1)).count("1")
+            src_active = [k for k, c in enumerate(src) if c & set(x.edges)]
+            dst_active = [k for k, c in enumerate(dst) if c & set(x.edges)]
+            carry = {k: dst.index(c) for k, c in enumerate(src)
+                     if k not in src_active}
+            for subset in range(1 << len(src)):
+                base = sum(1 << k2 for k, k2 in carry.items()
+                           if (subset >> k) & 1)
+                if len(src_active) == 2:
+                    e1, e2 = ((subset >> k) & 1 for k in src_active)
+                    outs = [base | (e1 ^ e2) << dst_active[0]]
+                elif not (subset >> src_active[0]) & 1:
+                    outs = [base | 1 << k for k in dst_active]
+                else:
+                    outs = [base | 1 << dst_active[0] | 1 << dst_active[1],
+                            base]
+                columns[cx.start[t] + subset] += [
+                    (cx.start[t2] + out, sign) for out in outs]
+    return columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_braids(7))
+def test_doubled_edge_maps_match_the_per_subset_reference(braid):
+    cx = complex_for(*braid)
+    assert cx.columns == reference_columns(cx)
+    assert cx.basis_q == [
+        2 * bin(s).count("1") - len(cx.circles[t]) - cx.writhe - h
+        for t, s, h in zip(cx.basis_t, cx.basis_subset, cx.basis_h)]
+    assert cx.basis_h == [bin(t).count("1") - cx.n_minus
+                          for t in cx.basis_t]
 
 
 def merges_or_splits_everywhere(d):

@@ -153,7 +153,7 @@ def test_r2_rejects_non_bigon():
 
 def test_r3_preserves_invariants():
     d = dg.parse_braid([1, 2, 1, 2, 2], 3)
-    base = (lee.s2(d), lee.build_filtered_complex(d).homology_dimension())
+    base = (lee.s2(d), lee.FilteredComplex(d).homology_dimension())
     applied = 0
     for ks in itertools.combinations(range(d.n_crossings), 3):
         try:
@@ -162,7 +162,7 @@ def test_r3_preserves_invariants():
             continue
         applied += 1
         assert (lee.s2(d2),
-                lee.build_filtered_complex(d2).homology_dimension()) == base
+                lee.FilteredComplex(d2).homology_dimension()) == base
     assert applied >= 1
 
 
