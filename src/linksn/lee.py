@@ -67,8 +67,8 @@ class FilteredComplex:
 
     The default window is the whole cube.  A narrower one builds only the
     resolutions with ``lo <= h <= hi`` and the differential out of degrees
-    ``lo..hi-1``; a cycle check in degree ``hi`` applies the differential
-    on demand.  Questions that need a degree outside the window raise
+    ``lo..hi-1``; cycle checks apply the differential on demand, so
+    they work in every built degree, ``hi`` included.  Questions that need a degree outside the window raise
     ``ValueError``.  A degree outside the cube is empty, so it never needs
     building: the window is clipped to the cube's degrees.
     """
@@ -233,22 +233,14 @@ class FilteredComplex:
     def _is_cycle(self, chain):
         """Whether d(chain) = 0.
 
-        The built columns give d out of the degrees below the window's
-        top.  Out of the top degree, whose images are not built, d is
-        applied on demand from the edge maps out of the chain's own
-        resolutions.  The two parts land in different degrees, so
-        neither can cancel the other.
+        d is applied on demand from the edge maps out of the chain's own
+        resolutions, so the check needs no column built: it works in
+        every degree of every window, the window's top included.
         """
-        top = self.window[1]
-        below, by_t = {}, {}
+        by_t = {}
         for i, v in chain.items():
-            if self.basis_h[i] < top:
-                below[i] = v
-            else:
-                by_t.setdefault(self.basis_t[i], []).append(
-                    (self.basis_subset[i], v))
-        if self.apply_differential(below):
-            return False
+            by_t.setdefault(self.basis_t[i], []).append(
+                (self.basis_subset[i], v))
         out = {}
         for t, terms in by_t.items():
             for t2, sign, images in self._edge_maps(t):

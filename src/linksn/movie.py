@@ -565,11 +565,24 @@ def save_movie(movie, path):
             fh.write(json.dumps(m.to_dict()) + "\n")
 
 
-def _field(data, key, number):
-    """``data[key]``, where ``data`` is the movie's ``number``-th record."""
-    if not isinstance(data, dict) or key not in data:
-        raise InputError(f"movie record {number} is not a JSON object "
-                         f"with {key!r}")
+_REQUIRED = object()
+
+
+def _field(data, key, number, expected, default=_REQUIRED):
+    """``data[key]``, checked to be an ``expected``, where ``data`` is the
+    movie's ``number``-th record; ``default`` if the key is optional and
+    absent."""
+    if not isinstance(data, dict):
+        raise InputError(f"movie record {number} must be a JSON object, "
+                         f"not {type(data).__name__}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise InputError(f"movie record {number} needs {key!r}")
+        return default
+    if not isinstance(data[key], expected):
+        raise InputError(f"{key!r} of movie record {number} must be a "
+                         f"{expected.__name__}, not "
+                         f"{type(data[key]).__name__}")
     return data[key]
 
 
@@ -577,14 +590,15 @@ def movie_from_lines(lines):
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise NotEndingInUnlink("empty movie file")
-    start = dg.parse_pd(_field(json.loads(lines[0]), "start", 1))
+    start = dg.parse_pd(_field(json.loads(lines[0]), "start", 1, str))
     moves = []
     for number, ln in enumerate(lines[1:], start=2):
         data = json.loads(ln)
-        moves.append(Move(kind=_field(data, "kind", number),
-                          edges=tuple(data.get("edges", ())),
-                          crossings=tuple(data.get("crossings", ())),
-                          comment=data.get("comment", "")))
+        moves.append(Move(kind=_field(data, "kind", number, str),
+                          edges=tuple(_field(data, "edges", number, list, [])),
+                          crossings=tuple(
+                              _field(data, "crossings", number, list, [])),
+                          comment=_field(data, "comment", number, str, "")))
     return Movie(start, moves)
 
 

@@ -196,3 +196,14 @@ def test_movie_rejects_a_file_without_start(tmp_path, capsys):
     text = '{"pd": "X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]"}\n{"kind": "H0"}\n'
     assert run_on_file(tmp_path, "movie", text) == 2
     assert_one_line_error(capsys)
+
+
+def test_movie_rejects_a_field_of_the_wrong_type(tmp_path, capsys):
+    start = '{"start": "X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]"}\n'
+    for text in ('{"start": 5}\n',
+                 start + '{"kind": 3}\n',
+                 start + '{"kind": "R1+", "edges": 5}\n',
+                 start + '{"kind": "H0", "crossings": "0"}\n',
+                 '[1]\n'):
+        assert run_on_file(tmp_path, "movie", text) == 2
+        assert_one_line_error(capsys)
