@@ -4,11 +4,16 @@ Exact values come from the positive-diagram formula and the split/
 connected-sum identities; everything else propagates as an integer
 interval whose endpoints cite the rule that produced them.  The n=2
 engine can refine any realizable expression to an exact value.
+
+Expression trees are dataclass nodes, one per rule, listed in ``NODES``
+by type name.  Their fields are the JSON format: ``LinkExpr.to_dict``
+writes and ``expr_from_dict`` reads and type-checks one key per field,
+named after it except ``diagram``, which is the PD string ``"pd"``.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import diagram as dg
 from . import lee
@@ -39,10 +44,6 @@ class SnValue:
         if not self.exact:
             raise InexactInput(f"interval [{self.lo}, {self.hi}] is not exact")
         return self.lo
-
-    def to_json(self):
-        return json.dumps({"n": self.n, "lo": self.lo, "hi": self.hi,
-                           "trace": self.trace})
 
     def __repr__(self):
         body = str(self.lo) if self.exact else f"[{self.lo}, {self.hi}]"
@@ -171,7 +172,8 @@ def sp_lower_bound(s_link, s_components, l):
 
 class LinkExpr:
     """Base node; subclasses know their component count and how to
-    evaluate themselves against the paper's rules."""
+    evaluate themselves against the paper's rules.  Each subclass is a
+    dataclass whose fields are its JSON format (see ``expr_from_dict``)."""
 
     def components(self):
         raise NotImplementedError
@@ -184,12 +186,17 @@ class LinkExpr:
         raise UnevaluableLeaf(f"{type(self).__name__} has no diagram")
 
     def to_dict(self):
-        raise NotImplementedError
+        """The node's JSON object: its type name and one key per field."""
+        out = {"type": type(self).__name__}
+        for f in fields(self):
+            out[_KEY.get(f.name, f.name)] = _to_json_value(
+                getattr(self, f.name))
+        return out
 
 
 @dataclass
 class PositiveDiagram(LinkExpr):
-    diagram: object
+    diagram: dg.LinkDiagram
 
     def components(self):
         return self.diagram.n_components
@@ -200,13 +207,10 @@ class PositiveDiagram(LinkExpr):
     def realize(self):
         return self.diagram
 
-    def to_dict(self):
-        return {"type": "PositiveDiagram", "pd": dg.serialize_pd(self.diagram)}
-
 
 @dataclass
 class EngineDiagram(LinkExpr):
-    diagram: object
+    diagram: dg.LinkDiagram
 
     def components(self):
         return self.diagram.n_components
@@ -218,9 +222,6 @@ class EngineDiagram(LinkExpr):
 
     def realize(self):
         return self.diagram
-
-    def to_dict(self):
-        return {"type": "EngineDiagram", "pd": dg.serialize_pd(self.diagram)}
 
 
 @dataclass
@@ -234,9 +235,6 @@ class Unknot(LinkExpr):
     def realize(self):
         return dg.unknot()
 
-    def to_dict(self):
-        return {"type": "Unknot"}
-
 
 @dataclass
 class StronglySliceLink(LinkExpr):
@@ -248,9 +246,6 @@ class StronglySliceLink(LinkExpr):
     def eval(self, n):
         return _exact(n, (n - 1) * (self.l - 1),
                       [f"strongly slice, {self.l} components: s_n = (n-1)(l-1)"])
-
-    def to_dict(self):
-        return {"type": "StronglySliceLink", "l": self.l}
 
 
 @dataclass
@@ -273,14 +268,14 @@ class KnownValue(LinkExpr):
                 f"known value is for n={self.n}, requested n={n}")
         return _exact(n, self.value, [f"known value ({self.provenance})"])
 
-    def to_dict(self):
-        return {"type": "KnownValue", "n": self.n, "value": self.value,
-                "l": self.l, "provenance": self.provenance}
-
 
 @dataclass
 class DisjointUnion(LinkExpr):
-    children: list
+    children: list                # of LinkExpr
+
+    def __post_init__(self):
+        if not self.children:
+            raise InputError("a disjoint union needs at least one child")
 
     def components(self):
         return sum(c.components() for c in self.children)
@@ -299,10 +294,6 @@ class DisjointUnion(LinkExpr):
         for c in self.children[1:]:
             out = dg.disjoint_union(out, c.realize())
         return out
-
-    def to_dict(self):
-        return {"type": "DisjointUnion",
-                "children": [c.to_dict() for c in self.children]}
 
 
 @dataclass
@@ -323,10 +314,6 @@ class ConnectSum(LinkExpr):
     def realize(self):
         return dg.connect_sum(self.left.realize(), self.i1,
                               self.right.realize(), self.i2)
-
-    def to_dict(self):
-        return {"type": "ConnectSum", "i1": self.i1, "i2": self.i2,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
 
 
 @dataclass
@@ -351,9 +338,6 @@ class Mirror(LinkExpr):
     def realize(self):
         return dg.mirror(self.child.realize())
 
-    def to_dict(self):
-        return {"type": "Mirror", "child": self.child.to_dict()}
-
 
 @dataclass
 class CrossingChange(LinkExpr):
@@ -373,10 +357,6 @@ class CrossingChange(LinkExpr):
             raise UnevaluableLeaf("crossing change without a marked crossing")
         return dg.crossing_change(self.child.realize(), self.crossing)
 
-    def to_dict(self):
-        return {"type": "CrossingChange", "crossing": self.crossing,
-                "child": self.child.to_dict()}
-
 
 @dataclass
 class ConcordantTo(LinkExpr):
@@ -390,10 +370,6 @@ class ConcordantTo(LinkExpr):
         v = self.child.eval(n)
         return SnValue(n, v.lo, v.hi,
                        v.trace + [f"concordance preserves s_n ({self.note})"])
-
-    def to_dict(self):
-        return {"type": "ConcordantTo", "note": self.note,
-                "child": self.child.to_dict()}
 
 
 def sn_eval(expr, n):
@@ -410,54 +386,69 @@ def refine_with_engine(expr):
 
 # -- (de)serialization --------------------------------------------------------
 
+NODES = {cls.__name__: cls for cls in (
+    PositiveDiagram, EngineDiagram, Unknot, StronglySliceLink, KnownValue,
+    DisjointUnion, ConnectSum, Mirror, CrossingChange, ConcordantTo)}
+
+# JSON key of a field, where it is not the field's name
+_KEY = {"diagram": "pd"}
+
+
+def _to_json_value(value):
+    if isinstance(value, LinkExpr):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [c.to_dict() for c in value]
+    if isinstance(value, dg.LinkDiagram):
+        return dg.serialize_pd(value)
+    return value
+
 
 def expr_to_json(expr):
     return json.dumps(expr.to_dict(), indent=2)
 
 
 def expr_from_dict(data):
+    """The expression tree of a JSON object written by ``to_dict``.
+
+    ``"type"`` names the node class in ``NODES``; each field of the class
+    is read from its key and type-checked.  A field with a default may be
+    left out, and a field whose default is None may be null."""
     if not isinstance(data, dict):
         raise InputError(f"an expression node must be a JSON object, "
                          f"not {type(data).__name__}")
     kind = data.get("type")
-
-    def need(key, expected=object):
-        if key not in data:
+    cls = NODES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise UnevaluableLeaf(f"unknown expression node {kind!r}")
+    args = {}
+    for f in fields(cls):
+        key = _KEY.get(f.name, f.name)
+        if key in data:
+            args[f.name] = _field_from_json(kind, key, f, data[key])
+        elif f.default is MISSING:
             raise InputError(f"{kind} node needs {key!r}")
-        if not isinstance(data[key], expected):
-            raise InputError(f"{key!r} of a {kind} node must be a "
-                             f"{expected.__name__}, not "
-                             f"{type(data[key]).__name__}")
-        return data[key]
+    return cls(**args)
 
-    if kind == "PositiveDiagram":
-        return PositiveDiagram(dg.parse_pd(need("pd", str)))
-    if kind == "EngineDiagram":
-        return EngineDiagram(dg.parse_pd(need("pd", str)))
-    if kind == "Unknot":
-        return Unknot()
-    if kind == "StronglySliceLink":
-        return StronglySliceLink(need("l", int))
-    if kind == "KnownValue":
-        return KnownValue(need("n", int), need("value", int), need("l", int),
-                          data.get("provenance", ""))
-    if kind == "DisjointUnion":
-        return DisjointUnion([expr_from_dict(c)
-                              for c in need("children", list)])
-    if kind == "ConnectSum":
-        return ConnectSum(expr_from_dict(need("left")),
-                          expr_from_dict(need("right")),
-                          data.get("i1", 0), data.get("i2", 0))
-    if kind == "Mirror":
-        return Mirror(expr_from_dict(need("child")))
-    if kind == "CrossingChange":
-        return CrossingChange(expr_from_dict(need("child")),
-                              data.get("crossing"))
-    if kind == "ConcordantTo":
-        return ConcordantTo(expr_from_dict(need("child")),
-                            data.get("note", ""))
-    raise UnevaluableLeaf(f"unknown expression node {kind!r}")
+
+def _field_from_json(kind, key, f, value):
+    if f.type is LinkExpr:
+        return expr_from_dict(value)
+    expected = str if f.type is dg.LinkDiagram else f.type
+    if value is None and f.default is None:
+        return None
+    if type(value) is not expected:
+        raise InputError(f"{key!r} of a {kind} node must be a "
+                         f"{expected.__name__}, not {type(value).__name__}")
+    if f.type is dg.LinkDiagram:
+        return dg.parse_pd(value)
+    if f.type is list:
+        return [expr_from_dict(c) for c in value]
+    return value
 
 
 def expr_from_json(text):
-    return expr_from_dict(json.loads(text))
+    try:
+        return expr_from_dict(json.loads(text))
+    except RecursionError:
+        raise InputError("expression nested too deeply") from None

@@ -188,7 +188,7 @@ def cmd_eval(args, out):
 def cmd_movie(args, out):
     movie = mv.load_movie(args.movie)
     ledger = mv.validate_movie(movie)
-    order = mv.check_lobb_order(movie)
+    order = mv.check_lobb_order(ledger)
     report = {
         "input": {"movie": args.movie},
         "chi": ledger.chi,
@@ -202,7 +202,7 @@ def cmd_movie(args, out):
         report["move_order_offender"] = order.index
     if not ledger.end.n_crossings and ledger.end.n_components:
         report["slice_certificates"] = [
-            json.loads(mv.slice_certificate(movie, n).to_json())
+            mv.slice_certificate(ledger, n).to_dict()
             for n in _parse_n_range(args.n)]
     if args.json:
         print(json.dumps(report, indent=2), file=out)

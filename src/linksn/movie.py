@@ -7,6 +7,13 @@ moves combinatorially and records what the inequalities need: Euler
 characteristic, filtered degree (1-n)*chi, the fate of the canonical
 generators, and the move ordering of the genus-bound proof.
 
+One replay generator, ``_replay``, applies the moves and carries a tag
+per edge through saddles, inherited edges and births: ``validate_movie``
+tags edges with the surface sheet they sweep, ``generator_fate`` with a
+generator label.  The move-order check and the slice certificates read
+the ``Ledger`` that ``validate_movie`` returns, so one replay serves a
+whole report.
+
 Reidemeister kinds are bidirectional: giving ``edges`` inserts the
 pattern, giving ``crossings`` removes it.
 """
@@ -82,16 +89,11 @@ def _replace_incoming(crossings, old, new):
     return out
 
 
-def _strand_data(x):
-    """(under_in, under_out, over_in, over_out) of a crossing."""
-    return x.a, x.c, x.over_in, x.over_out
-
-
 def _apply(d, m):
     """Returns (new diagram, info) where info records edge genealogy:
-    ``inherit`` maps new/kept edge -> parent edge, ``births``/``deaths``
-    list loop edges created or removed, ``spliced`` holds H1 arcs."""
-    info = {"inherit": {}, "births": [], "deaths": [], "spliced": None}
+    ``inherit`` maps new/kept edge -> parent edge, ``births`` lists loop
+    edges created, ``spliced`` holds H1 arcs."""
+    info = {"inherit": {}, "births": [], "spliced": None}
     if m.kind in ("R1+", "R1-"):
         d2 = _r1(d, m, info)
     elif m.kind == "R2":
@@ -108,12 +110,8 @@ def _apply(d, m):
         e1, e2 = m.edges
         d2 = dg.splice_edges(d, e1, e2)
         info["spliced"] = (e1, e2)
-        new_loops = set(d2.loops) - set(d.loops)
-        gone = set(d.loops) - set(d2.loops)
-        for e in new_loops:
+        for e in set(d2.loops) - set(d.loops):
             info["inherit"][e] = e1
-        for e in gone:
-            info["deaths"].append(e)  # loop absorbed into the other strand
     elif m.kind == "H2":
         if len(m.edges) != 1:
             raise InapplicableMove("H2 needs one circle edge")
@@ -121,7 +119,6 @@ def _apply(d, m):
         if e not in d.loops:
             raise InapplicableMove(
                 f"edge {e} is not a crossing-free circle disjoint from the rest")
-        info["deaths"].append(e)
         d2 = LinkDiagram(d.crossings, tuple(x for x in d.loops if x != e))
     else:  # pragma: no cover - guarded by Move.__post_init__
         raise InapplicableMove(f"unknown move kind {m.kind!r}")
@@ -313,6 +310,40 @@ def apply_move(d, m):
 # -- replay and bookkeeping ---------------------------------------------------
 
 
+def _replay(movie, tag, born):
+    """Apply the moves of ``movie`` in order, carrying a tag per edge.
+
+    ``tag`` maps every edge of the start diagram to a tag and is updated
+    in place: after a saddle every edge of the joined components carries
+    the first arc's tag, an inherited edge takes its parent's tag, and a
+    birth circle without a tag gets ``born(move)``.  Yields (move, the
+    diagram before it, the diagram after it, the pair of tags the saddle
+    joined or None).  An inapplicable move raises InapplicableMove with
+    its index.
+    """
+    d = movie.start
+    for i, m in enumerate(movie.moves):
+        try:
+            d2, info = _apply(d, m)
+        except InapplicableMove as exc:
+            raise InapplicableMove(f"move {i} ({m.kind}): {exc}", index=i) from exc
+        joined = None
+        if info["spliced"]:
+            e1, e2 = info["spliced"]
+            joined = tag[e1], tag[e2]
+            for cid in {d.edge_component[e1], d.edge_component[e2]}:
+                for e in d.components[cid]:
+                    tag[e] = joined[0]
+        for new, parent in info["inherit"].items():
+            if parent in tag:
+                tag[new] = tag[parent]
+        for e in info["births"]:
+            if e not in tag:
+                tag[e] = born(m)
+        yield m, d, d2, joined
+        d = d2
+
+
 @dataclass
 class Ledger:
     chi: int
@@ -356,15 +387,10 @@ def _classify(kind, fusion):
 def validate_movie(movie):
     """Replay a movie; returns the Ledger or raises InapplicableMove
     with the index of the offending move."""
-    d = movie.start
-    chi = 0
-    frames = [d]
-    kinds = []
-
-    # worldsheet bookkeeping: each link component sweeps out a sheet;
-    # saddles glue sheets, births start new ones
-    sheet = {}
+    # worldsheet bookkeeping: each link component sweeps out a sheet,
+    # tagged on its edges; saddles glue sheets, births start new ones
     parents = {}
+    h0_sheets = []
 
     def find(s):
         while parents[s] != s:
@@ -372,51 +398,34 @@ def validate_movie(movie):
             s = parents[s]
         return s
 
-    next_id = 0
-    for comp in d.components:
-        parents[next_id] = next_id
+    def new_sheet(m=None):
+        s = len(parents)
+        parents[s] = s
+        if m is not None and m.kind == "H0":
+            h0_sheets.append(s)
+        return s
+
+    sheet = {}
+    for comp in movie.start.components:
+        s = new_sheet()
         for e in comp:
-            sheet[e] = next_id
-        next_id += 1
-    n_start_sheets = next_id
-    h0_sheets = []
+            sheet[e] = s
+    n_start_sheets = len(parents)
 
-    for i, m in enumerate(movie.moves):
-        try:
-            d2, info = _apply(d, m)
-        except InapplicableMove as exc:
-            raise InapplicableMove(f"move {i} ({m.kind}): {exc}", index=i) from exc
-        if info["spliced"]:
-            e1, e2 = info["spliced"]
-            r1, r2 = find(sheet[e1]), find(sheet[e2])
-            if r1 != r2:
-                parents[r1] = r2
-            winner = sheet[e1]
-            for cid in {d.edge_component[e1], d.edge_component[e2]}:
-                for e in d.components[cid]:
-                    sheet[e] = winner
-        for new, parent in info["inherit"].items():
-            if parent in sheet:
-                sheet[new] = sheet[parent]
-        for e in info["births"]:
-            if e not in sheet:
-                parents[next_id] = next_id
-                sheet[e] = next_id
-                if m.kind == "H0":
-                    h0_sheets.append(next_id)
-                next_id += 1
-        if m.kind == "H1":
-            kinds.append(_classify("H1", d2.n_components < d.n_components))
-        else:
-            kinds.append(_classify(m.kind, None))
+    chi = 0
+    frames = [movie.start]
+    kinds = []
+    for m, d, d2, joined in _replay(movie, sheet, new_sheet):
+        if joined:
+            parents[find(joined[0])] = find(joined[1])
+        kinds.append(_classify(m.kind, d2.n_components < d.n_components))
         chi += CHI[m.kind]
-        d = d2
-        frames.append(d)
+        frames.append(d2)
 
-    k = len({find(s) for s in range(next_id)})
+    k = len({find(s) for s in parents})
     start_roots = {find(s) for s in range(n_start_sheets)}
     h0_absorbed = all(find(s) in start_roots for s in h0_sheets)
-    return Ledger(chi=chi, end=d, frames=frames, kinds=kinds, k=k,
+    return Ledger(chi=chi, end=frames[-1], frames=frames, kinds=kinds, k=k,
                   h0_absorbed=h0_absorbed)
 
 
@@ -431,33 +440,13 @@ def generator_fate(movie, labeling, birth_label=1):
     d = movie.start
     if len(labeling) != d.n_components:
         raise ValueError("one label per start component")
-    label = {}
-    for comp, lab in zip(d.components, labeling):
-        for e in comp:
-            label[e] = lab
+    label = {e: lab for comp, lab in zip(d.components, labeling)
+             for e in comp}
     survives = True
-    for i, m in enumerate(movie.moves):
-        try:
-            d2, info = _apply(d, m)
-        except InapplicableMove as exc:
-            raise InapplicableMove(f"move {i} ({m.kind}): {exc}", index=i) from exc
-        if info["spliced"]:
-            e1, e2 = info["spliced"]
-            if label[e1] != label[e2]:
-                survives = False
-            # the joined strand carries one label afterwards
-            winner = label[e1]
-            comp_ids = {d.edge_component[e1], d.edge_component[e2]}
-            for cid in comp_ids:
-                for e in d.components[cid]:
-                    label[e] = winner
-        for new, parent in info["inherit"].items():
-            label[new] = label.get(parent, label.get(new))
-        for e in info["births"]:
-            label.setdefault(e, birth_label)
-        d = d2
-    end_labeling = tuple(label[min(comp)] for comp in d.components)
-    return survives, end_labeling
+    for _, _, d, joined in _replay(movie, label, lambda m: birth_label):
+        if joined and joined[0] != joined[1]:
+            survives = False
+    return survives, tuple(label[min(comp)] for comp in d.components)
 
 
 # -- move ordering -------------------------------------------------------------
@@ -475,15 +464,14 @@ class OrderCheck:
         return self.ok
 
 
-def check_lobb_order(movie):
-    """Does the move sequence follow the genus-proof phase order?
+def check_lobb_order(ledger):
+    """Does the replayed move sequence follow the genus-proof phase order?
 
     Phases: 0-handles, Reidemeister moves, fusions, g fissions, g
     fusions, Reidemeister/fission moves, then Reidemeister moves and
     2-handles.  Returns a truthy record; on failure ``.index`` is the
     first move that no phase assignment can accept.
     """
-    ledger = validate_movie(movie)
     s = ledger.kinds
     best_fail = -1
     for g in range(s.count("I") + 1):
@@ -521,8 +509,8 @@ class SliceCertificate:
     lo: int
     hi: int
 
-    def to_json(self):
-        return json.dumps({
+    def to_dict(self):
+        return {
             "theorem": "genus bound for slice surfaces",
             "n": self.n,
             "chi_movie": self.chi_movie,
@@ -535,13 +523,12 @@ class SliceCertificate:
                 f"s_{self.n}(L) >= ({self.n}-1)*(chi(F)-1) = {self.lo}",
                 f"({self.n}-1)*(2k-1-chi(F)) = {self.hi} >= s_{self.n}(L)",
             ],
-        })
+        }
 
 
-def slice_certificate(movie, n):
-    """Both genus-bound inequalities instantiated by a movie ending in
-    an unlink: (n-1)(2k-1-chi(F)) >= s_n(L) >= (n-1)(chi(F)-1)."""
-    ledger = validate_movie(movie)
+def slice_certificate(ledger, n):
+    """Both genus-bound inequalities instantiated by a replayed movie
+    ending in an unlink: (n-1)(2k-1-chi(F)) >= s_n(L) >= (n-1)(chi(F)-1)."""
     end = ledger.end
     if end.n_crossings or end.n_components == 0:
         raise NotEndingInUnlink(
@@ -586,6 +573,17 @@ def _field(data, key, number, expected, default=_REQUIRED):
     return data[key]
 
 
+def _ids(data, key, number):
+    """The optional list of edge or crossing ids ``data[key]``, as a tuple
+    of integers."""
+    ids = tuple(_field(data, key, number, list, []))
+    for v in ids:
+        if type(v) is not int:
+            raise InputError(f"{key!r} of movie record {number} must list "
+                             f"integers, not {type(v).__name__}")
+    return ids
+
+
 def movie_from_lines(lines):
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
@@ -595,9 +593,8 @@ def movie_from_lines(lines):
     for number, ln in enumerate(lines[1:], start=2):
         data = json.loads(ln)
         moves.append(Move(kind=_field(data, "kind", number, str),
-                          edges=tuple(_field(data, "edges", number, list, [])),
-                          crossings=tuple(
-                              _field(data, "crossings", number, list, [])),
+                          edges=_ids(data, "edges", number),
+                          crossings=_ids(data, "crossings", number),
                           comment=_field(data, "comment", number, str, "")))
     return Movie(start, moves)
 

@@ -116,12 +116,12 @@ def test_criterion_8_cobordism_certificates():
     ledger = mv.validate_movie(movie)
     assert ledger.chi == -2
     assert ledger.end.n_crossings == 0 and ledger.end.n_components == 1
-    assert mv.check_lobb_order(movie)
+    assert mv.check_lobb_order(ledger)
     assert ledger.lemma2_certificate()["applies"]
     # tight at n=2: s2(trefoil) - 1*chi == s2(unknot), and the slice
     # certificate's lower endpoint is attained
     assert lee.s2(TREFOIL) - ledger.chi == lee.s2(ledger.end) == 0
-    cert = mv.slice_certificate(movie, 2)
+    cert = mv.slice_certificate(ledger, 2)
     assert cert.lo == lee.s2(TREFOIL) == -2
 
     # an annulus movie (Reidemeister moves only) between two diagrams

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from linksn import calculus as ca
+from linksn import cli
 from linksn import diagram as dg
 from linksn import lee
 from linksn.errors import (
@@ -13,6 +17,7 @@ from linksn.errors import (
 
 TREFOIL = dg.parse_braid([1, 1, 1], 2)
 HOPF = dg.parse_braid([1, 1], 2)
+ALL_NODES = Path(__file__).resolve().parent / "data" / "expr_all_nodes.json"
 
 
 def test_positive_formula():
@@ -148,6 +153,64 @@ def test_expression_serialization():
         assert (v1.lo, v1.hi) == (v2.lo, v2.hi)
     engine = ca.expr_from_json(ca.expr_to_json(ca.EngineDiagram(HOPF)))
     assert ca.sn_eval(engine, 2).value == -1
+
+
+def node_samples():
+    """The first node of each type in an expression file that uses all
+    ten, with every optional field written out."""
+    samples = {}
+    todo = [json.loads(ALL_NODES.read_text())]
+    while todo:
+        node = todo.pop(0)
+        samples.setdefault(node["type"], node)
+        todo += node.get("children", [])
+        todo += [node[k] for k in ("left", "right", "child") if k in node]
+    return samples
+
+
+# the fields a node cannot do without, by their JSON keys
+REQUIRED = {"PositiveDiagram": {"pd"}, "EngineDiagram": {"pd"},
+            "Unknot": set(), "StronglySliceLink": {"l"},
+            "KnownValue": {"n", "value", "l", "provenance"},
+            "DisjointUnion": {"children"}, "ConnectSum": {"left", "right"},
+            "Mirror": {"child"}, "CrossingChange": {"child"},
+            "ConcordantTo": {"child"}}
+
+
+def test_every_node_type_roundtrips():
+    samples = node_samples()
+    assert set(samples) == set(ca.NODES) == set(REQUIRED)
+    unmarked = {"type": "CrossingChange", "child": {"type": "Unknot"},
+                "crossing": None}
+    for data in [*samples.values(), unmarked]:
+        expr = ca.expr_from_dict(data)
+        assert type(expr) is ca.NODES[data["type"]]
+        text = ca.expr_to_json(expr)
+        assert json.loads(text) == data
+        assert ca.expr_to_json(ca.expr_from_json(text)) == text
+
+
+def eval_exit_code(tmp_path, node):
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps(node))
+    return cli.main(["eval", "--expr", str(path)])
+
+
+def test_a_missing_or_mistyped_field_exits_2(tmp_path, capsys):
+    for kind, node in node_samples().items():
+        for key, value in node.items():
+            if key == "type":
+                continue
+            cases = [{**node, key: "a" if type(value) in (int, dict) else 5}]
+            without = {k: v for k, v in node.items() if k != key}
+            if key in REQUIRED[kind]:
+                cases.append(without)
+            else:
+                ca.expr_from_dict(without)
+            for case in cases:
+                assert eval_exit_code(tmp_path, case) == 2, case
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_component_counts():

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,9 @@ from linksn import cli
 from linksn import diagram as dg
 from linksn import lee
 from linksn import movie as mv
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def run_cli(*argv):
@@ -135,15 +139,32 @@ def test_json_report_roundtrips():
     assert again == report
 
 
-def test_invariant_and_bounds_reports_unchanged():
-    """Both commands print, byte for byte, the reports recorded when each
-    still had its own handler: a torus link and a braid, with and
-    without the trace."""
-    cases = json.loads((Path(__file__).parent / "data" /
-                        "cli_reports.json").read_text())
-    assert {c["argv"][0] for c in cases} == {"invariant", "bounds"}
+def test_recorded_reports_unchanged(monkeypatch):
+    """Each command prints, byte for byte, the report recorded before its
+    code was reworked: ``invariant`` and ``bounds`` on a torus link and a
+    braid, from when each had its own handler, and ``movie`` and ``eval``
+    on the files in tests/data, from when each movie was replayed
+    2 + |n| times and each expression node wrote its own JSON."""
+    monkeypatch.chdir(ROOT)
+    cases = json.loads((DATA / "cli_reports.json").read_text())
+    assert {c["argv"][0] for c in cases} == {"invariant", "bounds", "movie",
+                                             "eval"}
     for case in cases:
         assert run_cli(*case["argv"]) == (0, case["stdout"])
+
+
+def test_movie_command_applies_each_move_once(monkeypatch):
+    applied = []
+    apply = mv._apply
+
+    def counting(d, m):
+        applied.append(m)
+        return apply(d, m)
+    monkeypatch.setattr(mv, "_apply", counting)
+    path = DATA / "trefoil_genus1_movie.jsonl"
+    code, report = run_json("movie", "--movie", str(path), "--n", "2..6")
+    assert code == 0 and len(report["slice_certificates"]) == 5
+    assert applied == mv.load_movie(path).moves
 
 
 def test_bounds_passes_max_crossings_to_sublinks(monkeypatch):
@@ -187,7 +208,25 @@ def test_eval_rejects_a_field_of_the_wrong_type(tmp_path, capsys):
     for text in ('{"type": "DisjointUnion", "children": 5}',
                  '{"type": "StronglySliceLink", "l": "2"}',
                  '{"type": "Mirror", "child": {"type": "EngineDiagram", '
-                 '"pd": 5}}'):
+                 '"pd": 5}}',
+                 '{"type": "CrossingChange", "crossing": "x", '
+                 '"child": {"type": "Unknot"}}',
+                 '{"type": "ConnectSum", "i1": "a", '
+                 '"left": {"type": "Unknot"}, "right": {"type": "Unknot"}}',
+                 '{"type": "StronglySliceLink", "l": true}',
+                 '{"type": "CrossingChange", "crossing": 0, '
+                 '"child": {"type": "DisjointUnion", "children": []}}',
+                 '{"type": ["Unknot"]}'):
+        assert run_on_file(tmp_path, "eval", text) == 2
+        assert_one_line_error(capsys)
+
+
+def test_eval_rejects_a_deeply_nested_expression(tmp_path, capsys):
+    # the deeper chain overflows inside the JSON parser, the shallower
+    # one only in the tree builder
+    for depth in (5000, sys.getrecursionlimit() // 2 + 50):
+        text = ('{"type": "Mirror", "child": ' * depth + '{"type": "Unknot"}'
+                + "}" * depth)
         assert run_on_file(tmp_path, "eval", text) == 2
         assert_one_line_error(capsys)
 
@@ -204,6 +243,8 @@ def test_movie_rejects_a_field_of_the_wrong_type(tmp_path, capsys):
                  start + '{"kind": 3}\n',
                  start + '{"kind": "R1+", "edges": 5}\n',
                  start + '{"kind": "H0", "crossings": "0"}\n',
+                 start + '{"kind": "R1+", "edges": [[1]]}\n',
+                 start + '{"kind": "R1+", "crossings": ["x"]}\n',
                  '[1]\n'):
         assert run_on_file(tmp_path, "movie", text) == 2
         assert_one_line_error(capsys)

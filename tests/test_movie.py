@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksn import diagram as dg
 from linksn import lee
 from linksn import movie as mv
-from linksn.errors import InapplicableMove, NotEndingInUnlink
+from linksn.errors import InapplicableMove, InputError, NotEndingInUnlink
 
 TREFOIL = dg.parse_braid([1, 1, 1], 2)
 HOPF = dg.parse_braid([1, 1], 2)
@@ -256,6 +258,149 @@ def test_fission_duplicates_labels():
     assert survives and end == (-1, -1)
 
 
+# -- the replay generator against the two loops it replaced ---------------------
+
+
+def reference_validate(movie):
+    """``validate_movie`` as its own replay loop."""
+    d = movie.start
+    chi = 0
+    frames = [d]
+    kinds = []
+    sheet = {}
+    parents = {}
+
+    def find(s):
+        while parents[s] != s:
+            parents[s] = parents[parents[s]]
+            s = parents[s]
+        return s
+
+    next_id = 0
+    for comp in d.components:
+        parents[next_id] = next_id
+        for e in comp:
+            sheet[e] = next_id
+        next_id += 1
+    n_start_sheets = next_id
+    h0_sheets = []
+
+    for i, m in enumerate(movie.moves):
+        try:
+            d2, info = mv._apply(d, m)
+        except InapplicableMove as exc:
+            raise InapplicableMove(f"move {i} ({m.kind}): {exc}", index=i) from exc
+        if info["spliced"]:
+            e1, e2 = info["spliced"]
+            r1, r2 = find(sheet[e1]), find(sheet[e2])
+            if r1 != r2:
+                parents[r1] = r2
+            winner = sheet[e1]
+            for cid in {d.edge_component[e1], d.edge_component[e2]}:
+                for e in d.components[cid]:
+                    sheet[e] = winner
+        for new, parent in info["inherit"].items():
+            if parent in sheet:
+                sheet[new] = sheet[parent]
+        for e in info["births"]:
+            if e not in sheet:
+                parents[next_id] = next_id
+                sheet[e] = next_id
+                if m.kind == "H0":
+                    h0_sheets.append(next_id)
+                next_id += 1
+        if m.kind == "H1":
+            kinds.append(mv._classify("H1", d2.n_components < d.n_components))
+        else:
+            kinds.append(mv._classify(m.kind, None))
+        chi += mv.CHI[m.kind]
+        d = d2
+        frames.append(d)
+
+    k = len({find(s) for s in range(next_id)})
+    start_roots = {find(s) for s in range(n_start_sheets)}
+    h0_absorbed = all(find(s) in start_roots for s in h0_sheets)
+    return mv.Ledger(chi=chi, end=d, frames=frames, kinds=kinds, k=k,
+                     h0_absorbed=h0_absorbed)
+
+
+def reference_fate(movie, labeling, birth_label=1):
+    """``generator_fate`` as its own replay loop."""
+    d = movie.start
+    label = {}
+    for comp, lab in zip(d.components, labeling):
+        for e in comp:
+            label[e] = lab
+    survives = True
+    for i, m in enumerate(movie.moves):
+        d2, info = mv._apply(d, m)
+        if info["spliced"]:
+            e1, e2 = info["spliced"]
+            if label[e1] != label[e2]:
+                survives = False
+            winner = label[e1]
+            for cid in {d.edge_component[e1], d.edge_component[e2]}:
+                for e in d.components[cid]:
+                    label[e] = winner
+        for new, parent in info["inherit"].items():
+            label[new] = label.get(parent, label.get(new))
+        for e in info["births"]:
+            label.setdefault(e, birth_label)
+        d = d2
+    return survives, tuple(label[min(comp)] for comp in d.components)
+
+
+STARTS = [TREFOIL, HOPF, dg.unknot(), dg.unlink(3),
+          dg.parse_braid([1, -2, 1, -2], 3), dg.parse_braid([1, 2, 1, 2, 2], 3)]
+
+
+def draw_move(data, d):
+    """A move of any kind on the edges and crossings of ``d``; it may not
+    apply."""
+    if not d.edges:
+        return mv.Move("H0")
+    kind = data.draw(st.sampled_from(sorted(mv.CHI)))
+    size = {"R1+": 1, "R1-": 1, "R2": 2, "R3": 3, "H0": 0, "H1": 2, "H2": 1}
+    count = size[kind]
+    n = d.n_crossings
+    if kind == "R3" or (kind[0] == "R" and n and data.draw(st.booleans())):
+        # insertions append their crossings, so the last ones often bound
+        # a kink or a bigon
+        last = st.just(list(range(max(n - count, 0), n)))
+        crossings = st.lists(st.integers(0, max(n - 1, 0)), min_size=count,
+                             max_size=count, unique=n >= count)
+        return mv.Move(kind, crossings=data.draw(last | crossings))
+    return mv.Move(kind, edges=data.draw(
+        st.lists(st.sampled_from(d.edges), min_size=count, max_size=count)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_matches_the_reference_loops(data):
+    start = data.draw(st.sampled_from(STARTS))
+    d, moves = start, []
+    for _ in range(data.draw(st.integers(0, 10))):
+        m = draw_move(data, d)
+        try:
+            d = mv.apply_move(d, m)
+        except (InapplicableMove, InputError):
+            continue
+        moves.append(m)
+    movie = mv.Movie(start, moves)
+    ref, got = reference_validate(movie), mv.validate_movie(movie)
+    assert (got.chi, got.kinds, got.k, got.h0_absorbed) == (
+        ref.chi, ref.kinds, ref.k, ref.h0_absorbed)
+    assert [(f.crossings, f.loops) for f in got.frames] == [
+        (f.crossings, f.loops) for f in ref.frames]
+    assert got.end is got.frames[-1]
+    signs = st.sampled_from([-1, 1])
+    labeling = data.draw(st.lists(signs, min_size=start.n_components,
+                                  max_size=start.n_components))
+    birth = data.draw(signs)
+    assert mv.generator_fate(movie, labeling, birth) == reference_fate(
+        movie, labeling, birth)
+
+
 # -- ordering ------------------------------------------------------------------
 
 
@@ -268,23 +413,23 @@ def test_lobb_order_examples():
                        mv.Move("R1+", edges=(1,)),
                        mv.Move("R1+", crossings=(0,))])
     # O R R U R R: phases 1, 2, 3, 6
-    assert mv.check_lobb_order(seq)
+    assert mv.check_lobb_order(mv.validate_movie(seq))
 
     bad = mv.Movie(TREFOIL, [mv.Move("H1", edges=(1, 3)), mv.Move("H0")])
-    check = mv.check_lobb_order(bad)
+    check = mv.check_lobb_order(mv.validate_movie(bad))
     assert not check
     assert check.index == 1
 
 
 def test_lobb_order_genus1():
-    assert mv.check_lobb_order(genus1_trefoil_movie())
+    assert mv.check_lobb_order(mv.validate_movie(genus1_trefoil_movie()))
 
 
 def test_lobb_order_rejects_fission_after_death():
     u3 = dg.unlink(3)
     movie = mv.Movie(u3, [mv.Move("H2", edges=(3,)),
                           mv.Move("H1", edges=(1, 1))])
-    check = mv.check_lobb_order(movie)
+    check = mv.check_lobb_order(mv.validate_movie(movie))
     assert not check and check.index == 1
 
 
@@ -292,20 +437,21 @@ def test_lobb_order_rejects_fission_after_death():
 
 
 def test_slice_certificate_trefoil():
-    cert = mv.slice_certificate(genus1_trefoil_movie(), 2)
+    ledger = mv.validate_movie(genus1_trefoil_movie())
+    cert = mv.slice_certificate(ledger, 2)
     assert cert.chi_movie == -2
     assert cert.chi_surface == -1
     assert cert.k == 1
     assert cert.lo == -2 and cert.hi == 2
     assert cert.lo <= lee.s2(TREFOIL) <= cert.hi
-    cert5 = mv.slice_certificate(genus1_trefoil_movie(), 5)
+    cert5 = mv.slice_certificate(ledger, 5)
     assert cert5.lo == -8 and cert5.hi == 8
 
 
 def test_slice_certificate_needs_unlink():
     movie = mv.Movie(TREFOIL, [mv.Move("R1+", edges=(1,))])
     with pytest.raises(NotEndingInUnlink):
-        mv.slice_certificate(movie, 2)
+        mv.slice_certificate(mv.validate_movie(movie), 2)
 
 
 def test_annulus_movie_forces_equality():
