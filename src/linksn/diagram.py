@@ -104,6 +104,49 @@ class LinkDiagram:
             raise InconsistentDiagram("duplicate loop edge id")
         self._incoming_at = incoming
 
+    def check_planar(self):
+        """Raise InconsistentDiagram unless the PD is drawn in the plane.
+
+        Slot 4j + k is position k of crossing j.  The faces of the
+        crossings' 4-valent graph are the orbits of "cross the edge in
+        slot k to its other end, then turn to the next slot
+        counterclockwise".  A connected piece of c crossings and 2c edges
+        drawn on a surface of genus g has c + 2 - 2g faces, so the PD is
+        planar exactly when it has c + 2 faces per piece in total.
+        """
+        other = [0] * (4 * self.n_crossings)   # slot -> the edge's other end
+        root = list(range(self.n_crossings))     # crossings joined by edges
+
+        def find(j):
+            while root[j] != j:
+                root[j] = root[root[j]]
+                j = root[j]
+            return j
+
+        first = {}
+        for s, e in enumerate(e for x in self.crossings for e in x.edges):
+            if e not in first:
+                first[e] = s
+                continue
+            other[s], other[first[e]] = first[e], s
+            root[find(s // 4)] = find(first[e] // 4)
+        pieces = sum(root[j] == j for j in range(self.n_crossings))
+        faces = 0
+        seen = [False] * len(other)
+        for s in range(len(other)):
+            if seen[s]:
+                continue
+            faces += 1
+            while not seen[s]:
+                seen[s] = True
+                s = other[s]
+                s += 1 if s % 4 < 3 else -3    # the next slot of its crossing
+        if faces != self.n_crossings + 2 * pieces:
+            raise InconsistentDiagram(
+                f"PD is not planar: {faces} faces for {self.n_crossings} "
+                f"crossings in {pieces} connected pieces, where Euler's "
+                f"formula needs {self.n_crossings + 2 * pieces}")
+
     # -- basic attributes ---------------------------------------------
 
     @property
@@ -193,48 +236,6 @@ class LinkDiagram:
         for e in self.edges:
             groups.setdefault(find(e), set()).add(e)
         return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
-
-    def circle_counts(self):
-        """``len(self.circles(t))`` for every ``t`` in ``range(2**N)``.
-
-        A depth-first walk fixes one crossing's smoothing per level and
-        undoes its unions on the way back (union by size, no path
-        compression), so a cube vertex costs O(1) unions on average, not
-        one per crossing.
-        """
-        index = {e: k for k, e in enumerate(self.edges)}
-        pairs = [[[(index[u], index[v]) for u, v in x.smoothing(t)]
-                  for t in (0, 1)] for x in self.crossings]
-        parent = list(range(len(index)))
-        size = [1] * len(index)
-        counts = [0] * (1 << self.n_crossings)
-
-        def find(k):
-            while parent[k] != k:
-                k = parent[k]
-            return k
-
-        def walk(i, t, r):
-            if i == len(pairs):
-                counts[t] = r
-                return
-            for bit in (0, 1):
-                joined = []
-                for u, v in pairs[i][bit]:
-                    ru, rv = find(u), find(v)
-                    if ru != rv:
-                        if size[ru] > size[rv]:
-                            ru, rv = rv, ru
-                        parent[ru] = rv
-                        size[rv] += size[ru]
-                        joined.append(ru)
-                walk(i + 1, t | bit << i, r - len(joined))
-                for ru in reversed(joined):
-                    size[parent[ru]] -= size[ru]
-                    parent[ru] = ru
-
-        walk(0, 0, len(index))
-        return counts
 
     @cached_property
     def oriented_mask(self):
@@ -350,7 +351,9 @@ def parse_pd(text):
         crossings.append(Crossing(a, b, c, d, sign))
     edge_max = max((e for x in crossings for e in x.edges), default=0)
     loops = tuple(range(edge_max + 1, edge_max + 1 + n_loops))
-    return LinkDiagram(crossings, loops)
+    d = LinkDiagram(crossings, loops)
+    d.check_planar()
+    return d
 
 
 def _infer_sign(b, d):
@@ -400,7 +403,9 @@ def from_json(text):
                  for (a, b, c, d), s in zip(data["crossings"], data["signs"])]
     edge_max = max((e for x in crossings for e in x.edges), default=0)
     loops = range(edge_max + 1, edge_max + 1 + data.get("loops", 0))
-    return LinkDiagram(crossings, loops)
+    d = LinkDiagram(crossings, loops)
+    d.check_planar()
+    return d
 
 
 # -- standard families ---------------------------------------------------

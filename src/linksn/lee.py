@@ -28,15 +28,15 @@ with |t| - N_minus in that range and the differential out of degree -1.
 That a degree-0 chain is a cycle is still checked, on demand: the edge
 maps out of the chain's own resolutions are applied, and the circles of
 each neighbouring resolution are memoized on the complex.  ``dim``
-counts the generators built, not the full cube's.  Non-planar input is
-still rejected on the whole cube: the circle count r(t) of every
-resolution is computed (``LinkDiagram.circle_counts``).  One smoothing
-change moves r by -1 (merge), +1 (split) or 0, so an edge with
-r(t | 1<<i) == r(t) is exactly the neither-merge-nor-split case, and
-there is none exactly when r(t) + |t| has the same parity at every t.
+counts the generators built, not the full cube's, and no resolution
+outside the window is visited by the build.
+
+The edge maps assume that every smoothing change merges two circles or
+splits one, which holds for a planar diagram.  The complex checks that
+once, in O(c), with Euler's formula (``LinkDiagram.check_planar``).
 """
 
-import json
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,6 +78,7 @@ class FilteredComplex:
         if diagram.n_crossings > max_crossings:
             raise TooLarge(
                 f"{diagram.n_crossings} crossings exceeds limit {max_crossings}")
+        diagram.check_planar()
         self.diagram = diagram
         self.n = diagram.n_crossings
         self.writhe = diagram.writhe
@@ -94,8 +95,6 @@ class FilteredComplex:
     def _build(self):
         d = self.diagram
         lo, hi = self.window
-        counts = d.circle_counts()
-        self.cube_dim = sum(1 << r for r in counts)
         # t -> tuple of frozensets, for t in the window and for the
         # neighbours an on-demand cycle check has visited
         self.circles = {}
@@ -105,21 +104,15 @@ class FilteredComplex:
         self.basis_h = []
         self.basis_q = []
         self.by_h = {}
-        # One smoothing change moves the circle count by -1 (merge), +1
-        # (split) or 0, and 0 happens only for a non-planar PD.  So every
-        # cube edge, inside the window or not, is a merge or a split
-        # exactly when r(t) + h(t) has one parity on the whole cube.
-        parity = (counts[0] - self.n_minus) % 2
+        # the window's resolutions in ascending t, the order of the basis
+        masks = sorted(sum(1 << i for i in ones)
+                       for k in range(lo + self.n_minus, hi + self.n_minus + 1)
+                       for ones in itertools.combinations(range(self.n), k))
         idx = 0
-        for t, r in enumerate(counts):
-            h = bin(t).count("1") - self.n_minus
-            if (r + h) % 2 != parity:
-                raise InconsistentDiagram(
-                    "smoothing change is neither a merge nor a split "
-                    "(input PD is not planar)")
-            if not lo <= h <= hi:
-                continue
+        for t in masks:
+            h = t.bit_count() - self.n_minus
             self.circles[t] = d.circles(t)
+            r = len(self.circles[t])
             self.start[t] = idx
             size = 1 << r
             self.basis_t.extend([t] * size)
@@ -154,14 +147,13 @@ class FilteredComplex:
                     f"but the complex holds only {lo}..{hi}")
 
     def stats(self):
-        """Sizes of what was built, and of the full cube for comparison."""
+        """Sizes of what was built."""
         return {
             "window": list(self.window),
             "resolutions": len(self.start),
             "dim": self.dim,
             "nnz": sum(len(c) for c in self.columns),
             "boundary_cols": len(self.by_h.get(-1, ())),
-            "cube_dim": self.cube_dim,
         }
 
     def _circles(self, t):
@@ -191,20 +183,12 @@ class FilteredComplex:
             touched = set(x.edges)
             dst_index = {c: k for k, c in enumerate(dst)}
             dst_active = [k for k, c in enumerate(dst) if c & touched]
-            flips = []
-            for c in src:
-                if c & touched:
-                    # the merged circle, or the second circle of a split
-                    flips.append(1 << dst_active[-1])
-                elif c in dst_index:
-                    # circles untouched by crossing i are carried across
-                    flips.append(1 << dst_index[c])
-                else:
-                    raise InconsistentDiagram(
-                        "resolution change moved a circle it should not "
-                        "touch")
-            # _build rules out anything but a merge into one circle or a
-            # split into two
+            # the merged circle, or the second circle of a split; circles
+            # untouched by crossing i are carried across
+            flips = [1 << (dst_active[-1] if c & touched else dst_index[c])
+                     for c in src]
+            # the planarity check in __init__ rules out anything but a
+            # merge into one circle or a split into two
             starts = (0,) if len(dst_active) == 1 else (
                 1 << dst_active[0], 1 << dst_active[1])
             images = []
@@ -311,7 +295,10 @@ class FilteredComplex:
         return self.diagram.oriented_mask
 
     def seifert_coloring(self):
-        """2-coloring of the Seifert graph by nesting parity."""
+        """2-coloring of the Seifert graph by nesting parity.
+
+        The Seifert graph of a planar diagram is bipartite; a wrong
+        coloring would give a chain that ``_is_cycle`` rejects."""
         t = self.oriented_t
         circ = self.circles[t]
         where = {}
@@ -322,10 +309,6 @@ class FilteredComplex:
         for i, x in enumerate(self.diagram.crossings):
             (u1, _), (u2, _) = x.smoothing((t >> i) & 1)
             k1, k2 = where[u1], where[u2]
-            if k1 == k2:
-                raise InconsistentDiagram(
-                    "a crossing joins a Seifert circle to itself "
-                    "(input PD is not planar)")
             adj[k1].add(k2)
             adj[k2].add(k1)
         color = {}
@@ -340,10 +323,6 @@ class FilteredComplex:
                     if k2 not in color:
                         color[k2] = 1 - color[k]
                         stack.append(k2)
-                    elif color[k2] == color[k]:
-                        raise InconsistentDiagram(
-                            "Seifert graph is not bipartite "
-                            "(input PD is not planar)")
         return [color[k] for k in range(len(circ))]
 
     def canonical_cycle(self, label):
@@ -398,21 +377,6 @@ class FilteredComplex:
 
     def s2(self):
         return self.qgr(self.canonical_cycle(1).chain) - 1
-
-    # -- debug dump ------------------------------------------------------------
-
-    def dump_json(self):
-        self._require(*self.degrees, "dump_json")
-        triplets = []
-        for col in range(self.dim):
-            for row, coeff in self.columns[col]:
-                triplets.append([row, col, f"{coeff}/1"])
-        return json.dumps({
-            "dimension": self.dim,
-            "h": self.basis_h,
-            "q": self.basis_q,
-            "differential": triplets,
-        })
 
 
 def s2(diagram, max_crossings=DEFAULT_MAX_CROSSINGS):

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 from . import diagram as dg
 from .diagram import Crossing, LinkDiagram, _crossing_from_strands
-from .errors import InapplicableMove, InputError, NotEndingInUnlink
+from .errors import (
+    InapplicableMove,
+    InconsistentDiagram,
+    IndexOutOfRange,
+    InputError,
+    NotEndingInUnlink,
+)
 
 CHI = {"R1+": 0, "R1-": 0, "R2": 0, "R3": 0, "H0": 1, "H1": -1, "H2": 1}
 
@@ -303,7 +309,10 @@ def _r3(d, m, info):
 
 
 def apply_move(d, m):
-    """The diagram after one move; raises InapplicableMove on pattern failure."""
+    """The diagram after one move; raises InapplicableMove on pattern failure.
+
+    The result is not checked for planarity: an R2 can give a PD that no
+    plane drawing has.  Replay checks every frame."""
     return _apply(d, m)[0]
 
 
@@ -318,14 +327,16 @@ def _replay(movie, tag, born):
     the first arc's tag, an inherited edge takes its parent's tag, and a
     birth circle without a tag gets ``born(move)``.  Yields (move, the
     diagram before it, the diagram after it, the pair of tags the saddle
-    joined or None).  An inapplicable move raises InapplicableMove with
-    its index.
+    joined or None).  An inapplicable move, one on an unknown edge, or one
+    that leaves a frame that is not planar raises InapplicableMove with its
+    index.
     """
     d = movie.start
     for i, m in enumerate(movie.moves):
         try:
             d2, info = _apply(d, m)
-        except InapplicableMove as exc:
+            d2.check_planar()
+        except (InapplicableMove, InconsistentDiagram, IndexOutOfRange) as exc:
             raise InapplicableMove(f"move {i} ({m.kind}): {exc}", index=i) from exc
         joined = None
         if info["spliced"]:
@@ -588,10 +599,13 @@ def movie_from_lines(lines):
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise NotEndingInUnlink("empty movie file")
-    start = dg.parse_pd(_field(json.loads(lines[0]), "start", 1, str))
+    try:
+        records = [json.loads(ln) for ln in lines]
+    except RecursionError:
+        raise InputError("movie record nested too deeply") from None
+    start = dg.parse_pd(_field(records[0], "start", 1, str))
     moves = []
-    for number, ln in enumerate(lines[1:], start=2):
-        data = json.loads(ln)
+    for number, data in enumerate(records[1:], start=2):
         moves.append(Move(kind=_field(data, "kind", number, str),
                           edges=_ids(data, "edges", number),
                           crossings=_ids(data, "crossings", number),

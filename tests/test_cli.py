@@ -248,3 +248,30 @@ def test_movie_rejects_a_field_of_the_wrong_type(tmp_path, capsys):
                  '[1]\n'):
         assert run_on_file(tmp_path, "movie", text) == 2
         assert_one_line_error(capsys)
+
+
+def test_movie_deeply_nested_record_exits_2(tmp_path, capsys):
+    text = ('{"start": "U"}\n{"kind": "H0", "edges": '
+            + "[" * 5000 + "]" * 5000 + "}\n")
+    assert run_on_file(tmp_path, "movie", text) == 2
+    assert_one_line_error(capsys)
+
+
+def test_movie_names_the_move_of_a_bad_frame(tmp_path, capsys):
+    # a frame that is not planar, and a saddle on an edge the frame lacks
+    for text, prefix in (
+            ('{"start": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}\n'
+             '{"kind": "R2", "edges": [2, 5]}\n', "error: move 0 (R2): "),
+            ('{"start": "U"}\n{"kind": "H1", "edges": [1, 7]}\n',
+             "error: move 0 (H1): ")):
+        assert run_on_file(tmp_path, "movie", text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_invariant_rejects_a_non_planar_pd(capsys):
+    # the trefoil after an R2 whose frame is not planar
+    pd = "X[4,10,5,9] X[6,2,7,1] X[7,3,8,2] X[8,3,9,4] X[10,6,1,5]"
+    assert run_cli("invariant", "--pd", pd)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PD is not planar") and err.count("\n") == 1

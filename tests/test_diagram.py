@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksn import diagram as dg
 from linksn import movie as mv
@@ -10,6 +12,10 @@ from linksn.errors import (
 )
 
 RIGHT_TREFOIL_PD = "X[4,2,5,1] X[6,4,1,3] X[2,6,3,5]"
+# the trefoil after an R2 on edges (2, 5): every edge is used once in and
+# once out, but there are 5 faces for 5 crossings, where a plane drawing
+# has 7
+NON_PLANAR_PD = "X[4,10,5,9] X[6,2,7,1] X[7,3,8,2] X[8,3,9,4] X[10,6,1,5]"
 
 
 def test_parse_pd_trefoil():
@@ -182,12 +188,41 @@ def test_canonical_is_stable():
     assert d.canonical().crossings == d.crossings
 
 
-def test_circle_counts_match_circles():
-    tref = dg.parse_braid([1, 1, 1], 2)
-    kink = mv.apply_move(dg.unknot(), mv.Move("R1+", edges=(1,)))
-    kinked = dg.disjoint_union(kink, dg.unknot())   # plus a free circle
-    for d in (dg.unknot(), kinked, tref, dg.torus_link(3, 4),
-              dg.parse_braid([1, -2, 1, -2, 3, -1], 4),
-              dg.disjoint_union(tref, dg.mirror(tref))):
-        assert d.circle_counts() == [len(d.circles(t))
-                                     for t in range(1 << d.n_crossings)]
+def test_non_planar_pd_rejected():
+    bad = mv.apply_move(dg.parse_braid([1, 1, 1], 2),
+                        mv.Move("R2", edges=(2, 5)))
+    assert dg.serialize_pd(bad) == NON_PLANAR_PD
+    with pytest.raises(InconsistentDiagram, match="not planar"):
+        bad.check_planar()
+    with pytest.raises(InconsistentDiagram, match="not planar"):
+        dg.parse_pd(NON_PLANAR_PD)
+    with pytest.raises(InconsistentDiagram, match="not planar"):
+        dg.from_json(dg.to_json(bad))
+    # two pieces: a planar one beside the non-planar one
+    with pytest.raises(InconsistentDiagram):
+        dg.disjoint_union(dg.parse_braid([1, 1], 2), bad).check_planar()
+
+
+def braids():
+    return st.integers(1, 4).flatmap(lambda strands: st.tuples(
+        st.lists(st.integers(1 - strands, strands - 1).filter(bool),
+                 max_size=10),
+        st.just(strands)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(braids(), braids(), st.data())
+def test_constructions_stay_planar(b1, b2, data):
+    d1, d2 = dg.parse_braid(*b1), dg.parse_braid(*b2)
+    made = [d1, dg.mirror(d1), dg.disjoint_union(d1, d2),
+            dg.connect_sum(
+                d1, data.draw(st.integers(0, d1.n_components - 1)),
+                d2, data.draw(st.integers(0, d2.n_components - 1))),
+            dg.sublink(d1, data.draw(st.sets(
+                st.integers(0, d1.n_components - 1), min_size=1)))]
+    if d1.n_crossings:
+        made.append(dg.crossing_change(
+            d1, data.draw(st.integers(0, d1.n_crossings - 1))))
+    for d in made:
+        d.check_planar()
+        dg.parse_pd(dg.serialize_pd(d))

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from linksn import diagram as dg
 from linksn import lee
 from linksn import movie as mv
-from linksn.errors import InapplicableMove, InputError, NotEndingInUnlink
+from linksn.errors import (
+    InapplicableMove,
+    InconsistentDiagram,
+    InputError,
+    NotEndingInUnlink,
+)
 
 TREFOIL = dg.parse_braid([1, 1, 1], 2)
 HOPF = dg.parse_braid([1, 1], 2)
@@ -72,54 +77,22 @@ def test_r1_wrong_sign():
 
 
 def test_r2_insert_remove_roundtrip():
-    d = mv.apply_move(TREFOIL, mv.Move("R2", edges=(2, 5)))
+    d = mv.apply_move(TREFOIL, mv.Move("R2", edges=(5, 2)))
+    d.check_planar()
     assert d.n_crossings == 5
     assert d.writhe == TREFOIL.writhe
     assert lee.s2(d) == -2
     back = mv.apply_move(d, mv.Move("R2", crossings=(3, 4)))
     assert back.same_diagram(TREFOIL)
-
-
-def faces(d):
-    """Faces of the diagram's 4-valent graph: orbits of 'cross the edge
-    in slot k, then turn to the next slot counterclockwise'."""
-    ends = {}
-    for j, x in enumerate(d.crossings):
-        for k, e in enumerate(x.edges):
-            ends.setdefault(e, []).append((j, k))
-    seen = set()
-    count = 0
-    for start in ends.values():
-        for slot in start:
-            if slot in seen:
-                continue
-            count += 1
-            while slot not in seen:
-                seen.add(slot)
-                j, k = slot
-                a, b = ends[d.crossings[j].edges[k]]
-                j, k = b if a == slot else a
-                slot = (j, (k + 1) % 4)
-    return count
-
-
-def pieces(d):
-    """Connected components of the crossings, joined along edges."""
-    root = list(range(d.n_crossings))
-
-    def find(j):
-        while root[j] != j:
-            j = root[j]
-        return j
-
-    at = {}
-    for j, x in enumerate(d.crossings):
-        for e in x.edges:
-            at.setdefault(e, []).append(j)
-    for first, *rest in at.values():
-        for j in rest:
-            root[find(j)] = find(first)
-    return len({find(j) for j in range(d.n_crossings)})
+    # edges 2 and 5 bound a common face, but only the order (5, 2) puts
+    # the bigon inside it; (2, 5) leaves 5 faces for 5 crossings, and
+    # neither replay nor the engine take that frame
+    bad = mv.Movie(TREFOIL, [mv.Move("R2", edges=(2, 5))])
+    with pytest.raises(InapplicableMove, match="move 0 ") as exc:
+        mv.validate_movie(bad)
+    assert exc.value.index == 0
+    with pytest.raises(InconsistentDiagram):
+        lee.s2(mv.apply_move(TREFOIL, bad.moves[0]))
 
 
 def test_face_count_on_planar_diagrams():
@@ -128,16 +101,15 @@ def test_face_count_on_planar_diagrams():
               dg.disjoint_union(TREFOIL, TREFOIL),
               mv.apply_move(TREFOIL, mv.Move("R2", edges=(1, 4)))]
     for d in planar:
-        assert faces(d) == d.n_crossings + 2 * pieces(d)
+        d.check_planar()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "R2 on trefoil edges (2, 5), which bound a common bigon face, builds "
-    "a non-planar PD (5 faces for 5 crossings), and neither apply_move "
-    "nor the engine's merge/split test rejects it"))
+@pytest.mark.xfail(strict=True, raises=InconsistentDiagram, reason=(
+    "apply_move is a raw rewrite: R2 on trefoil edges (2, 5) builds a PD "
+    "with 5 faces for 5 crossings (Euler's formula needs 7); replay and "
+    "the engine reject that frame, apply_move does not"))
 def test_r2_insert_keeps_the_diagram_planar():
-    d = mv.apply_move(TREFOIL, mv.Move("R2", edges=(2, 5)))
-    assert faces(d) == d.n_crossings + 2 * pieces(d)
+    mv.apply_move(TREFOIL, mv.Move("R2", edges=(2, 5))).check_planar()
 
 
 def test_r2_on_unlink():
@@ -382,9 +354,11 @@ def test_replay_matches_the_reference_loops(data):
     for _ in range(data.draw(st.integers(0, 10))):
         m = draw_move(data, d)
         try:
-            d = mv.apply_move(d, m)
+            d2 = mv.apply_move(d, m)
+            d2.check_planar()
         except (InapplicableMove, InputError):
             continue
+        d = d2
         moves.append(m)
     movie = mv.Movie(start, moves)
     ref, got = reference_validate(movie), mv.validate_movie(movie)
