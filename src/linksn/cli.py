@@ -15,7 +15,9 @@ from . import diagram as dg
 from . import lee
 from . import movie as mv
 from . import verify
-from .errors import InputError, LinkError, TooLarge
+from .errors import InputError, LinkError
+
+MAX_N_VALUES = 1000   # the most values of n one --n range may ask for
 
 
 def _add_input_flags(p):
@@ -30,7 +32,6 @@ def _add_common_flags(p):
     p.add_argument("--n", default="2..2", metavar="A..B",
                    help="inclusive range of n (default 2..2)")
     p.add_argument("--json", action="store_true", help="machine output")
-    p.add_argument("--max-crossings", type=int, default=16)
 
 
 def _parse_n_range(text):
@@ -39,8 +40,9 @@ def _parse_n_range(text):
         a, b = int(parts[0]), int(parts[1])
     except (ValueError, IndexError):
         raise InputError(f"bad n range {text!r}, expected A..B")
-    if a < 2 or b < a:
-        raise InputError(f"n range {text!r} must satisfy 2 <= A <= B")
+    if a < 2 or b < a or b - a >= MAX_N_VALUES:
+        raise InputError(f"n range {text!r} must satisfy "
+                         f"2 <= A <= B < A + {MAX_N_VALUES}")
     return range(a, b + 1)
 
 
@@ -71,20 +73,20 @@ def _value_str(v):
     return str(v.lo) if v.exact else f"[{v.lo}, {v.hi}]"
 
 
-def _diagram_values(d, n_range, max_crossings):
+def _diagram_values(d, n_range):
     """One SnValue per requested n: the engine at n=2, closed forms or
     the crossing-change interval elsewhere."""
     values = {}
     for n in n_range:
         if n == 2:
-            values[2] = ca.SnValue(2, *(lee.s2(d, max_crossings),) * 2,
+            values[2] = ca.SnValue(2, *(lee.s2(d),) * 2,
                                    ["engine: filtered homology at n=2"])
         else:
             values[n] = ca.sn_diagram_interval(d, n)
     return values
 
 
-def _bounds_dict(d, values, source, max_crossings):
+def _bounds_dict(d, values, source):
     bounds = {}
     l = d.n_components
     for n, v in values.items():
@@ -100,8 +102,7 @@ def _bounds_dict(d, values, source, max_crossings):
             bounds["sp_torus"] = ca.torus_splitting(p, q)
     if l > 1 and 2 in values and values[2].exact:
         try:
-            parts = [ca.SnValue(2, *(lee.s2(dg.sublink(d, [i]),
-                                            max_crossings),) * 2)
+            parts = [ca.SnValue(2, *(lee.s2(dg.sublink(d, [i])),) * 2)
                      for i in range(l)]
             bounds["sp_lb"] = ca.sp_lower_bound(values[2], parts, l)
         except (LinkError, ValueError):
@@ -148,8 +149,8 @@ def cmd_diagram(args, out):
         _emit(report, args.json, out)
         return 2
     n_range = _parse_n_range(args.n)
-    values = _diagram_values(d, n_range, args.max_crossings)
-    bounds = _bounds_dict(d, values, source, args.max_crossings)
+    values = _diagram_values(d, n_range)
+    bounds = _bounds_dict(d, values, source)
     trace = ([t for v in values.values() for t in v.trace]
              if args.command == "invariant" else [])
     _emit(_report(d, source, values, bounds, trace), args.json, out)
@@ -220,8 +221,7 @@ def cmd_movie(args, out):
 
 
 def cmd_verify(args, out):
-    report = verify.run(properties=args.property or None, seed=args.seed,
-                        max_crossings=args.max_crossings)
+    report = verify.run(properties=args.property or None, seed=args.seed)
     if args.json:
         print(json.dumps(report, indent=2), file=out)
     else:
@@ -262,7 +262,6 @@ def build_parser():
                    choices=sorted(verify.PROPERTIES),
                    help="suite name (repeatable; default all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-crossings", type=int, default=16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -274,11 +273,7 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, LinkError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (LinkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -269,14 +269,14 @@ class LinkDiagram:
     # -- renumbering and equality ---------------------------------------
 
     def canonical(self):
-        """Relabel edges 1..2N consecutively along each component."""
+        """Relabel edges 1..2N consecutively along each component, with
+        the crossing-free loops numbered last, where ``parse_pd`` puts
+        ``U``."""
+        free = set(self.loops)
         relabel = {}
-        nxt = 1
-        for comp in self.components:
+        for comp in sorted(self.components, key=lambda c: c[0] in free):
             for e in comp:
-                if e not in relabel:
-                    relabel[e] = nxt
-                    nxt += 1
+                relabel[e] = len(relabel) + 1
         crossings = sorted(
             (Crossing(relabel[x.a], relabel[x.b], relabel[x.c], relabel[x.d], x.sign)
              for x in self.crossings),
@@ -553,9 +553,8 @@ def connect_sum(d1, i1, d2, i2):
     """Connected sum joining component ``i1`` of d1 to component ``i2`` of d2.
 
     The band is attached at the smallest edge of each named component
-    (recorded in the returned diagram's ``.band`` attribute) so the
-    operation is reproducible; the invariant values do not depend on the
-    choice of arcs.
+    so the operation is reproducible; the invariant values do not depend
+    on the choice of arcs.
     """
     if not 0 <= i1 < d1.n_components:
         raise IndexOutOfRange(f"component {i1} of first summand")
@@ -565,9 +564,7 @@ def connect_sum(d1, i1, d2, i2):
     union = disjoint_union(d1, d2)
     e1 = min(d1.components[i1])
     e2 = min(d2.components[i2]) + offset
-    result = splice_edges(union, e1, e2)
-    result.band = (e1, e2)
-    return result
+    return splice_edges(union, e1, e2)
 
 
 def sublink(diagram, keep):

@@ -31,19 +31,25 @@ each neighbouring resolution are memoized on the complex.  ``dim``
 counts the generators built, not the full cube's, and no resolution
 outside the window is visited by the build.
 
+A build costs the generators it creates, the sum of 2^r over the
+window's r-circle resolutions, so that count, not the crossing count,
+is held to ``MAX_GENERATORS``, and ``TooLarge`` is raised before any
+column is allocated.
+
 The edge maps assume that every smoothing change merges two circles or
 splits one, which holds for a planar diagram.  The complex checks that
 once, in O(c), with Euler's formula (``LinkDiagram.check_planar``).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
 from .errors import InconsistentDiagram, NotACycle, TooLarge, ZeroClass
 
-DEFAULT_MAX_CROSSINGS = 16
+MAX_GENERATORS = 1 << 20   # the generators one build may create
 S2_WINDOW = (-1, 0)   # the homological degrees qgr reads
 
 
@@ -73,11 +79,7 @@ class FilteredComplex:
     building: the window is clipped to the cube's degrees.
     """
 
-    def __init__(self, diagram, max_crossings=DEFAULT_MAX_CROSSINGS,
-                 window=None):
-        if diagram.n_crossings > max_crossings:
-            raise TooLarge(
-                f"{diagram.n_crossings} crossings exceeds limit {max_crossings}")
+    def __init__(self, diagram, window=None):
         diagram.check_planar()
         self.diagram = diagram
         self.n = diagram.n_crossings
@@ -104,9 +106,14 @@ class FilteredComplex:
         self.basis_h = []
         self.basis_q = []
         self.by_h = {}
+        popcounts = range(lo + self.n_minus, hi + self.n_minus + 1)  # |t|
+        # every resolution holds at least one generator
+        resolutions = sum(math.comb(self.n, k) for k in popcounts)
+        if resolutions > MAX_GENERATORS:
+            raise TooLarge(f"{resolutions} resolutions in degrees {lo}..{hi} "
+                           f"exceed the budget of {MAX_GENERATORS} generators")
         # the window's resolutions in ascending t, the order of the basis
-        masks = sorted(sum(1 << i for i in ones)
-                       for k in range(lo + self.n_minus, hi + self.n_minus + 1)
+        masks = sorted(sum(1 << i for i in ones) for k in popcounts
                        for ones in itertools.combinations(range(self.n), k))
         idx = 0
         for t in masks:
@@ -115,6 +122,9 @@ class FilteredComplex:
             r = len(self.circles[t])
             self.start[t] = idx
             size = 1 << r
+            if idx + size > MAX_GENERATORS:
+                raise TooLarge(f"at least {idx + size} generators in degrees "
+                               f"{lo}..{hi} exceed the budget of {MAX_GENERATORS}")
             self.basis_t.extend([t] * size)
             self.basis_subset.extend(range(size))
             self.basis_h.extend([h] * size)
@@ -379,9 +389,8 @@ class FilteredComplex:
         return self.qgr(self.canonical_cycle(1).chain) - 1
 
 
-def s2(diagram, max_crossings=DEFAULT_MAX_CROSSINGS):
+def s2(diagram):
     """The n=2 concordance invariant of the link presented by ``diagram``."""
     if diagram.n_components == 0:
         raise ValueError("s2 of the empty link is undefined")
-    return FilteredComplex(diagram, max_crossings=max_crossings,
-                           window=S2_WINDOW).s2()
+    return FilteredComplex(diagram, window=S2_WINDOW).s2()

@@ -15,10 +15,10 @@ from . import movie as mv
 from .errors import InconsistentDiagram, LinkError
 
 
-def corpus(max_crossings=16):
+def corpus():
     """Named engine-sized diagrams with independently known s2 values."""
     tref = dg.parse_braid([1, 1, 1], 2)
-    items = [
+    return [
         ("unknot", dg.unknot(), 0),
         ("U2", dg.unlink(2), 1),
         ("U3", dg.unlink(3), 2),
@@ -44,22 +44,19 @@ def corpus(max_crossings=16):
         ("hopf+_U", dg.disjoint_union(dg.parse_braid([1, 1], 2), dg.unknot()),
          0),
     ]
-    return [(name, d, s) for name, d, s in items
-            if d.n_crossings <= max_crossings]
 
 
-def _complexes(max_crossings, window=None):
+def _complexes(window=None):
     """The corpus complexes, over the whole cube unless ``window`` says
     otherwise; suites that only ask qgr questions pass ``lee.S2_WINDOW``."""
-    for name, d, _ in corpus(max_crossings):
-        yield name, lee.FilteredComplex(d, max_crossings=max_crossings,
-                                        window=window)
+    for name, d, _ in corpus():
+        yield name, lee.FilteredComplex(d, window=window)
 
 
-def check_known_values(seed=0, max_crossings=16):
+def check_known_values(seed=0):
     failures = []
     n = 0
-    for name, d, expected in corpus(max_crossings):
+    for name, d, expected in corpus():
         if expected is None:
             continue
         n += 1
@@ -69,21 +66,21 @@ def check_known_values(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_d_squared(seed=0, max_crossings=16):
+def check_d_squared(seed=0):
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings):
+    for name, cx in _complexes():
         n += 1
         if not cx.check_d_squared():
             failures.append(f"{name}: d^2 != 0")
     return n, failures
 
 
-def check_filtration_drop(seed=0, max_crossings=16):
+def check_filtration_drop(seed=0):
     """Every differential matrix entry drops q by exactly 0 or 4."""
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings):
+    for name, cx in _complexes():
         n += 1
         for col in range(cx.dim):
             for row, _ in cx.columns[col]:
@@ -94,10 +91,10 @@ def check_filtration_drop(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_homology_dimension(seed=0, max_crossings=16):
+def check_homology_dimension(seed=0):
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings):
+    for name, cx in _complexes():
         n += 1
         want = 2 ** cx.diagram.n_components
         got = cx.homology_dimension()
@@ -106,11 +103,11 @@ def check_homology_dimension(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_label_independence(seed=0, max_crossings=16):
+def check_label_independence(seed=0):
     """qgr of the canonical cycle is the same for both root labels."""
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
+    for name, cx in _complexes(lee.S2_WINDOW):
         n += 1
         g_plus = cx.qgr(cx.canonical_cycle(1).chain)
         g_minus = cx.qgr(cx.canonical_cycle(-1).chain)
@@ -119,11 +116,11 @@ def check_label_independence(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_max_identity(seed=0, max_crossings=16):
+def check_max_identity(seed=0):
     """qgr of the canonical cycle equals the max over its parity pieces."""
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
+    for name, cx in _complexes(lee.S2_WINDOW):
         n += 1
         g = cx.qgr(cx.canonical_cycle(1).chain)
         parts = [cx.qgr(cx.h_cycle(p).chain) for p in (0, 1)]
@@ -132,11 +129,11 @@ def check_max_identity(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_eq41(seed=0, max_crossings=16):
+def check_eq41(seed=0):
     """qgr(h_p) = 2p + (1-n)(w + r) mod 2n at n = 2."""
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
+    for name, cx in _complexes(lee.S2_WINDOW):
         st = dg.resolution_stats(cx.diagram)
         for p in (0, 1):
             n += 1
@@ -147,10 +144,10 @@ def check_eq41(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_low_generator(seed=0, max_crossings=16):
+def check_low_generator(seed=0):
     failures = []
     n = 0
-    for name, cx in _complexes(max_crossings, lee.S2_WINDOW):
+    for name, cx in _complexes(lee.S2_WINDOW):
         n += 1
         p, cls, level = cx.low_generator()
         g = cx.qgr(cx.canonical_cycle(1).chain)
@@ -159,10 +156,10 @@ def check_low_generator(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_positive_formula(seed=0, max_crossings=16):
+def check_positive_formula(seed=0):
     failures = []
     n = 0
-    for name, d, _ in corpus(max_crossings):
+    for name, d, _ in corpus():
         if not d.is_positive or d.n_crossings == 0:
             continue
         n += 1
@@ -174,14 +171,14 @@ def check_positive_formula(seed=0, max_crossings=16):
     return n, failures
 
 
-def check_crossing_change(seed=0, max_crossings=8):
+def check_crossing_change(seed=0):
     """|delta s2| <= 2 over every single crossing change, with at least
     one tight instance."""
     failures = []
     n = 0
     tight = False
-    for name, d, _ in corpus(max_crossings):
-        if d.n_crossings == 0 or d.n_crossings > 8:
+    for name, d, _ in corpus():
+        if d.n_crossings == 0:
             continue
         base = lee.s2(d)
         for k in range(d.n_crossings):
@@ -197,13 +194,13 @@ def check_crossing_change(seed=0, max_crossings=8):
     return n, failures
 
 
-def check_reidemeister(seed=0, max_crossings=8):
+def check_reidemeister(seed=0):
     """s2 is unchanged by R1/R2 insertions at random locations."""
     rng = random.Random(seed)
     failures = []
     n = 0
-    for name, d, _ in corpus(max_crossings):
-        if d.n_components == 0 or d.n_crossings > 8:
+    for name, d, _ in corpus():
+        if d.n_components == 0:
             continue
         base = lee.s2(d)
         for kind in ("R1+", "R1-"):
@@ -252,7 +249,7 @@ def _random_expr(rng, depth):
     return ca.ConnectSum(child, _random_expr(rng, 0))
 
 
-def check_interval_soundness(seed=0, max_crossings=16, count=20):
+def check_interval_soundness(seed=0, count=20):
     """The engine's exact n=2 value lies in every calculus interval."""
     rng = random.Random(seed)
     failures = []
@@ -263,7 +260,7 @@ def check_interval_soundness(seed=0, max_crossings=16, count=20):
             d = expr.realize()
         except LinkError:
             continue
-        if d.n_crossings > max_crossings or d.n_components == 0:
+        if d.n_components == 0:
             continue
         n += 1
         v = ca.sn_eval(expr, 2)
@@ -274,7 +271,7 @@ def check_interval_soundness(seed=0, max_crossings=16, count=20):
     return n, failures
 
 
-def check_unlink_values(seed=0, max_crossings=16):
+def check_unlink_values(seed=0):
     failures = []
     n = 0
     for m in range(1, 6):
@@ -306,7 +303,7 @@ PROPERTIES = {
 }
 
 
-def run(properties=None, seed=0, max_crossings=16):
+def run(properties=None, seed=0):
     """Run the named suites (all by default); returns a summary dict."""
     names = list(PROPERTIES) if not properties else list(properties)
     results = {}
@@ -314,8 +311,7 @@ def run(properties=None, seed=0, max_crossings=16):
     for name in names:
         if name not in PROPERTIES:
             raise KeyError(f"unknown property suite {name!r}")
-        checks, failures = PROPERTIES[name](seed=seed,
-                                            max_crossings=max_crossings)
+        checks, failures = PROPERTIES[name](seed=seed)
         results[name] = {"checks": checks, "failures": failures}
         if failures:
             ok = False

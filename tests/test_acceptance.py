@@ -65,7 +65,7 @@ def test_criterion_4_structural_properties():
 
 
 def test_criterion_5_crossing_change_bound():
-    for name, d, _ in verify.corpus(8):
+    for name, d, _ in verify.corpus():
         if d.n_crossings == 0 or d.n_crossings > 8:
             continue
         base = lee.s2(d)

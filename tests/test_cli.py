@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -7,7 +8,6 @@ import pytest
 
 from linksn import cli
 from linksn import diagram as dg
-from linksn import lee
 from linksn import movie as mv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,14 +67,46 @@ def test_invariant_interval_for_nonpositive():
     assert report["trace"]
 
 
-def test_bad_inputs_exit_2():
+def test_bad_inputs_exit_2(capsys):
     assert run_cli("invariant", "--pd", "X[1,2,3]")[0] == 2
     assert run_cli("invariant", "--braid", "5", "--strands", "2")[0] == 2
     assert run_cli("invariant", "--braid", "1", "--strands", "2",
                    "--n", "0..2")[0] == 2
     assert run_cli("invariant", "--pd", "U", "--torus", "2", "3")[0] == 2
-    assert run_cli("invariant", "--torus", "2", "20")[0] == 2  # too large
     assert run_cli("eval", "--expr", "/nonexistent.json")[0] == 2
+    capsys.readouterr()
+    # too large: 16 crossings alternating in sign hold 16 873 748
+    # generators in degrees -1..0
+    assert run_cli("invariant", "--braid", " ".join(["1 -1"] * 8),
+                   "--strands", "2")[0] == 2
+    assert_one_line_error(capsys)
+    # not too large: 20 positive crossings hold 4
+    code, report = run_json("invariant", "--torus", "2", "20")
+    assert code == 0 and report["s_n"]["2"] == {"exact": -19}
+
+
+def test_settable_options():
+    # the engine's size is bounded by lee.MAX_GENERATORS, not by an option
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               - {"-h", "--help"} for name, p in sub.choices.items()}
+    diagram = {"--pd", "--braid", "--strands", "--torus", "--n", "--json"}
+    assert options == {
+        "invariant": diagram,
+        "bounds": diagram,
+        "eval": {"--expr", "--n", "--json"},
+        "movie": {"--movie", "--n", "--json"},
+        "verify": {"--property", "--seed", "--json"},
+    }
+
+
+def test_n_range_is_bounded(capsys):
+    code, report = run_json("invariant", "--torus", "2", "3",
+                            "--n", "2..1001")
+    assert code == 0 and len(report["n"]) == 1000
+    assert run_cli("invariant", "--torus", "2", "3", "--n", "2..1002")[0] == 2
+    assert_one_line_error(capsys)
 
 
 def test_bounds_command():
@@ -165,21 +197,6 @@ def test_movie_command_applies_each_move_once(monkeypatch):
     code, report = run_json("movie", "--movie", str(path), "--n", "2..6")
     assert code == 0 and len(report["slice_certificates"]) == 5
     assert applied == mv.load_movie(path).moves
-
-
-def test_bounds_passes_max_crossings_to_sublinks(monkeypatch):
-    seen = []
-    s2 = lee.s2
-
-    def recording(d, max_crossings=lee.DEFAULT_MAX_CROSSINGS):
-        seen.append((d.n_components, max_crossings))
-        return s2(d, max_crossings)
-    monkeypatch.setattr(lee, "s2", recording)
-    code, report = run_json("bounds", "--torus", "2", "4",
-                            "--max-crossings", "20")
-    assert code == 0
-    assert report["bounds"]["sp_lb"] == 2
-    assert seen == [(2, 20), (1, 20), (1, 20)]
 
 
 def run_on_file(tmp_path, command, text):

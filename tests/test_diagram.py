@@ -70,8 +70,11 @@ def test_serialize_roundtrip():
     for d in (dg.parse_braid([1, 1], 2), dg.parse_braid([-1, -1], 2),
               dg.parse_braid([1, -2, 1, -2], 3), dg.torus_link(3, 4),
               dg.unlink(3),
-              dg.disjoint_union(dg.parse_braid([1, 1], 2), dg.unlink(1))):
-        assert dg.parse_pd(dg.serialize_pd(d)).same_diagram(d)
+              dg.disjoint_union(dg.parse_braid([1, 1], 2), dg.unlink(1)),
+              dg.disjoint_union(dg.unknot(), dg.parse_braid([1], 2))):
+        text = dg.serialize_pd(d)
+        assert dg.parse_pd(text).same_diagram(d)
+        assert dg.serialize_pd(dg.parse_pd(text)) == text
 
 
 def test_json_roundtrip():

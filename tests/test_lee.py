@@ -95,10 +95,59 @@ def test_qgr_wrong_degree():
 
 
 def test_size_limit():
+    # the full cube of T(2, 21) has 2^21 resolutions; its s2 window has one
+    with pytest.raises(TooLarge, match="resolutions"):
+        lee.FilteredComplex(dg.torus_link(2, 21))
+    assert lee.s2(dg.torus_link(2, 21)) == -20
+
+
+def test_budget_admits_exactly_max_generators(monkeypatch):
+    d = dg.parse_braid([1, -2, 1, -2], 3)       # 34 generators in -1..0
+    monkeypatch.setattr(lee, "MAX_GENERATORS", 34)
+    assert lee.FilteredComplex(d, window=lee.S2_WINDOW).dim == 34
+    monkeypatch.setattr(lee, "MAX_GENERATORS", 33)
+    with pytest.raises(TooLarge, match="34 generators"):
+        lee.FilteredComplex(d, window=lee.S2_WINDOW)
+
+
+def test_budget_counts_resolutions_before_any_circle(monkeypatch):
+    budget = lee.MAX_GENERATORS
+    small = dg.parse_braid([1, -1] * 6, 2)     # 1 716 resolutions in -1..0
+    large = dg.parse_braid([1, -1] * 15, 2)    # 300 540 195 resolutions
+    calls = []
+    circles = dg.LinkDiagram.circles
+    monkeypatch.setattr(dg.LinkDiagram, "circles",
+                        lambda self, t: calls.append(t) or circles(self, t))
+    monkeypatch.setattr(lee, "MAX_GENERATORS", 1715)
+    with pytest.raises(TooLarge, match="1716 resolutions"):
+        lee.s2(small)
+    assert calls == []
+    monkeypatch.setattr(lee, "MAX_GENERATORS", budget)
+    with pytest.raises(TooLarge, match="300540195 resolutions"):
+        lee.s2(large)
+    assert calls == []
+    # as many resolutions as the budget pass the count, not the build
+    monkeypatch.setattr(lee, "MAX_GENERATORS", 1716)
+    with pytest.raises(TooLarge, match="at least"):
+        lee.s2(small)
+
+
+def test_budget_stops_the_build_before_any_column(monkeypatch):
+    calls = []
+    edge_maps = lee.FilteredComplex._edge_maps
+    monkeypatch.setattr(lee.FilteredComplex, "_edge_maps",
+                        lambda self, t: calls.append(t) or edge_maps(self, t))
+    budget = lee.MAX_GENERATORS
+    monkeypatch.setattr(lee, "MAX_GENERATORS", 33)
     with pytest.raises(TooLarge):
-        lee.FilteredComplex(dg.torus_link(2, 17))
-    with pytest.raises(TooLarge):
-        lee.s2(dg.parse_braid([1] * 5, 2), max_crossings=4)
+        lee.s2(dg.parse_braid([1, -2, 1, -2], 3))
+    assert calls == []
+    # 16 crossings alternating in sign: degrees -1..0 hold 24 310
+    # resolutions and 16 873 748 generators
+    monkeypatch.setattr(lee, "MAX_GENERATORS", budget)
+    with pytest.raises(TooLarge, match="generators"):
+        lee.s2(dg.parse_braid([1, -1] * 8, 2))
+    assert calls == []
 
 
 def test_low_generator():
@@ -160,10 +209,10 @@ def level_or_zero(qgr, chain):
         return None
 
 
-def mixed_braids(max_crossings):
+def mixed_braids(max_size):
     return st.integers(2, 4).flatmap(lambda strands: st.tuples(
         st.lists(st.integers(1 - strands, strands - 1).filter(bool),
-                 min_size=1, max_size=max_crossings),
+                 min_size=1, max_size=max_size),
         st.just(strands)))
 
 
@@ -363,7 +412,9 @@ def test_window_rejects_r2_splices_like_the_reference():
     from linksn import movie as mv
     from linksn import verify
     spliced = accepted = 0
-    for _, d, _ in verify.corpus(6):
+    for _, d, _ in verify.corpus():
+        if d.n_crossings > 6:
+            continue
         for a in d.edges:
             for b in d.edges:
                 if a == b:
@@ -384,7 +435,7 @@ def test_near_positive_build_stays_in_the_window():
     # resolutions; a build that walked the whole cube would not finish
     word = [-1] + [2, 1] * 20
     d = dg.parse_braid(word, 3)
-    cx = lee.FilteredComplex(d, max_crossings=41, window=lee.S2_WINDOW)
+    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
     assert cx.stats()["resolutions"] == 1 + 41
     # the positivization interval: s2 of the positive braid is
     # -(c - strands + 1), and one crossing change moves s2 by at most 2
