@@ -374,15 +374,22 @@ def _infer_sign(b, d):
 
 def serialize_pd(diagram):
     """Canonical PD text; ``parse_pd`` of the result is the same diagram."""
-    canon = diagram.canonical()
+    return pd_text(diagram.canonical())
+
+
+def pd_text(diagram):
+    """PD text in the diagram's own numbering and crossing order, with a
+    sign tag where the edge ids do not imply the sign.  ``parse_pd`` of
+    it gives back these crossings; it gives back these loops only if
+    they are numbered after every crossing edge, as it numbers ``U``."""
     toks = []
-    for x in canon.crossings:
+    for x in diagram.crossings:
         if _infer_sign(x.b, x.d) == x.sign:
             toks.append(f"X[{x.a},{x.b},{x.c},{x.d}]")
         else:
             tag = "p" if x.sign > 0 else "m"
             toks.append(f"X{tag}[{x.a},{x.b},{x.c},{x.d}]")
-    toks.extend("U" for _ in canon.loops)
+    toks.extend("U" for _ in diagram.loops)
     return " ".join(toks)
 
 

@@ -16,20 +16,32 @@ gradings are h = |t| - N_minus and q = 2*deg - r_t - w - h; the
 differential preserves q or drops it by 4.
 
 ``qgr`` is the persistence column reduction (Edelsbrunner, Letscher and
-Zomorodian 2002; the filtered view of ``s`` in Rasmussen, math/0402131):
-the degree -1 boundaries are eliminated once per complex with degree-0
-rows numbered from the highest q down, and a cycle's filtration level is
-the q of the leading term of its residue.
+Zomorodian 2002; the filtered view of ``s`` in Rasmussen, math/0402131),
+asked from the top down.  Since d keeps q or drops it by 4, the map
+from degree -1 to degree 0 splits into two blocks by q mod 4.  The cut
+of a block at level L keeps its degree-0 rows with q >= L, numbered from
+the highest q down, and eliminates its degree -1 boundaries projected
+onto them.  If a cycle's part in the block leaves a nonzero residue, the
+q of its leading term is that part's filtration level; if not, the level
+lies below L and the next cut is 4 lower.  A cycle's level is the higher
+of its parts' levels.  The pivots above a cut are those of the full
+elimination, so the answer is the same, but no cut reads a row or a
+boundary below it or outside its block (the clearing idea of Chen and
+Kerber 2011, and of Bauer, Kerber and Reininghaus 2014: skip the work
+that cannot change the answer).  The deepest cut tried in each block is
+cached on the complex and shared by every question asked of it.
 
 ``s2`` reads only homological degrees -1 and 0: the level of a degree-0
 cycle depends only on the degree -1 boundaries that land in degree 0.
 So ``lee.s2`` builds the complex in the window (-1, 0): the resolutions
-with |t| - N_minus in that range and the differential out of degree -1.
-That a degree-0 chain is a cycle is still checked, on demand: the edge
-maps out of the chain's own resolutions are applied, and the circles of
-each neighbouring resolution are memoized on the complex.  ``dim``
-counts the generators built, not the full cube's, and no resolution
-outside the window is visited by the build.
+with |t| - N_minus in that range, their circles and the basis.  A cut
+makes its vectors from the edge maps, and the window's full differential
+(``columns``) is built only when a full-cube question reads it.  That a
+degree-0 chain is a cycle is checked on demand: the edge maps out of the
+chain's own resolutions are applied, and the circles of each
+neighbouring resolution are memoized on the complex.  ``dim`` counts the
+generators built, not the full cube's, and no resolution outside the
+window is visited by the build.
 
 A build costs the generators it creates, the sum of 2^r over the
 window's r-circle resolutions, so that count, not the crossing count,
@@ -68,15 +80,25 @@ class HClass:
     chain: dict
 
 
+@dataclass
+class Cut:
+    """The degree -1 boundaries of one q mod 4 block above one level,
+    eliminated."""
+    level: int                  # the lowest q of a degree-0 row kept
+    echelon: object             # linalg.Echelon over the kept rows
+    nnz: int                    # nonzeros of the vectors eliminated
+
+
 class FilteredComplex:
     """The complex in homological degrees ``window = (lo, hi)``.
 
     The default window is the whole cube.  A narrower one builds only the
-    resolutions with ``lo <= h <= hi`` and the differential out of degrees
-    ``lo..hi-1``; cycle checks apply the differential on demand, so
-    they work in every built degree, ``hi`` included.  Questions that need a degree outside the window raise
-    ``ValueError``.  A degree outside the cube is empty, so it never needs
-    building: the window is clipped to the cube's degrees.
+    resolutions with ``lo <= h <= hi``; ``columns``, the differential out
+    of degrees ``lo..hi-1``, is built on first use.  Cycle checks apply
+    the differential on demand, so they work in every built degree,
+    ``hi`` included.  Questions that need a degree outside the window
+    raise ``ValueError``.  A degree outside the cube is empty, so it never
+    needs building: the window is clipped to the cube's degrees.
     """
 
     def __init__(self, diagram, window=None):
@@ -133,18 +155,25 @@ class FilteredComplex:
             self.by_h.setdefault(h, []).extend(range(idx, idx + size))
             idx += size
         self.dim = idx
+        self._cuts = {}        # q mod 4 -> the deepest Cut tried, see qgr
+        self._cuts_tried = 0
 
-        # differential columns: basis index -> list of (row, coeff)
-        self.columns = [[] for _ in range(self.dim)]
+    @cached_property
+    def columns(self):
+        """The differential of the window, basis index -> list of (row,
+        coeff), built on first use; ``qgr`` never reads it."""
+        hi = self.window[1]
+        columns = [[] for _ in range(self.dim)]
         for t, first in self.start.items():
-            if bin(t).count("1") - self.n_minus == hi:
+            if t.bit_count() - self.n_minus == hi:
                 continue
-            cols = self.columns[first:first + (1 << len(self.circles[t]))]
+            cols = columns[first:first + (1 << len(self.circles[t]))]
             for t2, sign, images in self._edge_maps(t):
                 offset = self.start[t2]
                 for image in images:
                     for col, out in zip(cols, image):
                         col.append((offset + out, sign))
+        return columns
 
     def _require(self, a, b, question):
         """Raise ValueError unless degrees ``a..b`` are all built."""
@@ -157,13 +186,36 @@ class FilteredComplex:
                     f"but the complex holds only {lo}..{hi}")
 
     def stats(self):
-        """Sizes of what was built."""
+        """Sizes of what was built, and of the cached ``qgr`` cuts.
+
+        ``nnz`` counts the window's differential, built or not: an edge
+        out of an r-circle resolution has 2^r terms if it merges and
+        2^(r+1) if it splits.  ``cut`` lists the levels of the cached
+        ``qgr`` cuts, at most one per q mod 4 block, highest first;
+        ``cuts_tried`` counts the echelons built so far, and ``pivots``
+        and ``cut_nnz`` the cached cuts' rank and the nonzeros of the
+        vectors they eliminated."""
+        hi = self.window[1]
+        nnz = 0
+        for t in self.start:
+            if t.bit_count() - self.n_minus == hi:
+                continue
+            r = len(self.circles[t])
+            for i in range(self.n):
+                if not (t >> i) & 1:
+                    split = len(self.circles[t | 1 << i]) > r
+                    nnz += 1 << (r + split)
+        cuts = self._cuts.values()
         return {
             "window": list(self.window),
             "resolutions": len(self.start),
             "dim": self.dim,
-            "nnz": sum(len(c) for c in self.columns),
+            "nnz": nnz,
             "boundary_cols": len(self.by_h.get(-1, ())),
+            "cut": sorted((cut.level for cut in cuts), reverse=True),
+            "cuts_tried": self._cuts_tried,
+            "pivots": sum(cut.echelon.rank for cut in cuts),
+            "cut_nnz": sum(cut.nnz for cut in cuts),
         }
 
     def _circles(self, t):
@@ -264,10 +316,21 @@ class FilteredComplex:
     def qgr(self, chain):
         """Smallest filtration level containing the class of ``chain``.
 
-        ``chain`` must be a cycle in homological degree 0.  Its residue
-        modulo the cached boundary echelon of ``_filtered`` leads with a
-        highest-q term no boundary can cancel; that term's q is the level,
-        and an empty residue means the chain is a boundary.
+        ``chain`` must be a cycle in homological degree 0.  The boundaries
+        keep q or drop it by 4, so the degree-0 rows split into two blocks
+        by q mod 4 that no boundary mixes, and the chain's level is the
+        higher of its two parts' levels.  Each part is asked of cuts of
+        its block, from its top q down: the cut at level L keeps the
+        block's rows with q >= L.  If the part above the cut has a nonzero
+        residue modulo the boundaries' parts above it, the residue leads
+        with a term no boundary can cancel, and that term's q is the
+        part's level.  A zero residue means the level lies below L, so the
+        next cut is 4 lower; once the cut holds the whole block it means
+        the part is a boundary.  The part with the higher pending q is
+        asked first, and a part whose pending q cannot beat the level
+        found is not asked.  The deepest cut tried in each block is
+        cached, and a question starts at it if it lies below the part's
+        top q.
         """
         if not chain:
             raise ZeroClass("the zero chain has no filtration grading")
@@ -277,26 +340,82 @@ class FilteredComplex:
         if not self._is_cycle(chain):
             raise NotACycle("chain is not a cycle")
 
-        order, position, ech = self._filtered
-        residue = ech.reduce({position[i]: v for i, v in chain.items()})
-        if not residue:
+        q_of, dim = self.basis_q, self.dim
+        pending = {}    # block q mod 4 -> the highest q its level may have
+        for i in chain:
+            c = q_of[i] % 4
+            pending[c] = max(pending.get(c, q_of[i]), q_of[i])
+        level = None
+        while pending:
+            c = max(pending, key=pending.get)
+            if level is not None and pending[c] <= level:
+                break
+            cut = self._cuts.get(c)
+            if cut is None or cut.level > pending[c]:
+                cut = self._cuts[c] = self._cut_at(pending[c])
+                self._cuts_tried += 1
+            residue = cut.echelon.reduce(
+                {dim * (1 - q_of[i]) - 1 - i: v for i, v in chain.items()
+                 if q_of[i] >= cut.level and q_of[i] % 4 == c})
+            if residue:
+                found = -(min(residue) // dim)
+                level = found if level is None else max(level, found)
+                del pending[c]
+            elif cut.level <= self._q_floor + 2:
+                del pending[c]      # the block holds all its rows
+            else:
+                pending[c] = cut.level - 4
+        if level is None:
             raise ZeroClass("chain is a boundary")
-        return self.basis_q[order[min(residue)]]
+        return level
 
     @cached_property
-    def _filtered(self):
-        """Degree-0 rows by (q, index) descending, their positions, and the
-        echelon of the degree -1 boundaries in that numbering, so every
-        pivot is a highest-q term.  Any order within a q level is valid;
-        on the benchmark braids, descending index leaves 3-9x fewer
-        echelon nonzeros than ascending."""
-        order = sorted(self.by_h.get(0, ()),
-                       key=lambda i: (self.basis_q[i], i), reverse=True)
-        position = {i: k for k, i in enumerate(order)}
+    def _q_floor(self):
+        """The lowest q of a degree-0 generator, a subset 0 of the
+        resolution with the most circles."""
+        return min(self.basis_q[first] for t, first in self.start.items()
+                   if t.bit_count() == self.n_minus)
+
+    def _cut_at(self, level):
+        """The degree -1 boundaries of the block q = ``level`` mod 4,
+        projected onto its degree-0 rows with q >= ``level``, as an
+        echelon.
+
+        Row i at level q is keyed ``dim * (1 - q) - 1 - i``, so keys run
+        by (q, index) descending and every pivot is a highest-q term.
+        Any order within a q level is valid; on the benchmark braids,
+        descending index leaves 3-9x fewer echelon nonzeros than
+        ascending.  A source's images lie at its own q and 4 below, so a
+        source below the cut or in the other block projects to zero and
+        is never made.  The vectors are assembled from the edge maps, in
+        index order, one resolution at a time.
+        """
+        q_of, dim = self.basis_q, self.dim
         ech = linalg.Echelon()
-        for i in self.by_h.get(-1, ()):
-            ech.add({position[row]: c for row, c in self.columns[i]})
-        return order, position, ech
+        nnz = 0
+        for t, first in self.start.items():
+            if t.bit_count() != self.n_minus - 1:
+                continue
+            # subsets s of t's circles whose q = q0 + 2|s| is at least
+            # level and in its block
+            least = (level - q_of[first] + 1) // 2
+            cols = {s: {} for s in range(1 << len(self.circles[t]))
+                    if s.bit_count() >= least
+                    and (q_of[first] + 2 * s.bit_count() - level) % 4 == 0}
+            if not cols:
+                continue
+            for t2, sign, images in self._edge_maps(t):
+                offset = self.start[t2]
+                for image in images:
+                    for s, col in cols.items():
+                        row = offset + image[s]
+                        q = q_of[row]
+                        if q >= level:
+                            col[dim * (1 - q) - 1 - row] = sign
+            for col in cols.values():
+                nnz += len(col)
+                ech.add(col)
+        return Cut(level, ech, nnz)
 
     # -- canonical generators ----------------------------------------------
 

@@ -557,8 +557,24 @@ def slice_certificate(ledger, n):
 
 
 def save_movie(movie, path):
+    """Write ``movie`` as JSON lines: the start's PD text, then the moves.
+
+    The moves name the start's own edge ids and crossing indices, so the
+    start is written in its own numbering, not renumbered by
+    ``serialize_pd``.  A start that PD text cannot number so, one whose
+    crossing-free loops are not numbered after its crossing edges, would
+    load back as another movie: it raises InputError, and no file is
+    written."""
+    text = dg.pd_text(movie.start)
+    back = dg.parse_pd(text)
+    if (back.crossings, back.loops) != (movie.start.crossings,
+                                        movie.start.loops):
+        raise InputError(
+            f"cannot save the movie: its start numbers the crossing-free "
+            f"loops {list(movie.start.loops)}, but PD text numbers them "
+            f"{list(back.loops)}, after the crossing edges")
     with open(path, "w") as fh:
-        fh.write(json.dumps({"start": dg.serialize_pd(movie.start)}) + "\n")
+        fh.write(json.dumps({"start": text}) + "\n")
         for m in movie.moves:
             fh.write(json.dumps(m.to_dict()) + "\n")
 

@@ -227,9 +227,7 @@ def test_qgr_matches_level_scan(braid):
                 == level_or_zero(lambda c: reference_qgr(cx, c), chain))
 
 
-def test_one_boundary_echelon_per_complex(monkeypatch):
-    cx = complex_for([1, -2, 1, -2, 1], 3)
-    assert cx.by_h[-1]
+def count_echelons(monkeypatch):
     built = []
     init = linalg.Echelon.__init__
 
@@ -237,11 +235,62 @@ def test_one_boundary_echelon_per_complex(monkeypatch):
         built.append(self)
         init(self)
     monkeypatch.setattr(linalg.Echelon, "__init__", counted)
+    return built
+
+
+def test_one_echelon_per_cut_tried(monkeypatch):
+    cx = complex_for([1, -2, 1, -2, 1], 3)
+    assert cx.by_h[-1]
+    built = count_echelons(monkeypatch)
     cx.s2()
+    assert len(built) == cx.stats()["cuts_tried"] >= 1
     cx.low_generator()
+    tried = cx.stats()["cuts_tried"]
+    assert len(built) == tried
+    # the cached cut answers every question whose level lies at or above it
     for label in (1, -1):
         cx.qgr(cx.canonical_cycle(label).chain)
-    assert len(built) == 1
+    cx.low_generator()
+    cx.s2()
+    assert len(built) == cx.stats()["cuts_tried"] == tried
+
+
+NP_3S10C_2 = ([-1, 2, -1, -2, 2, -2, -1, 1, -2, -1], 3)
+
+
+def test_qgr_deepens_the_cut_below_the_chains_top(monkeypatch):
+    d = dg.parse_braid(*NP_3S10C_2)
+    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    g = cx.canonical_cycle(1).chain
+    assert max(cx.basis_q[i] for i in g) == 7
+    built = count_echelons(monkeypatch)
+    assert cx.qgr(g) == 3
+    # cuts at 7 and 5 leave no residue; the cut at 3 does.  7 and 3 cut
+    # the block q = 3 mod 4, and 5 the block q = 1 mod 4
+    assert len(built) == 3
+    assert {k: cx.stats()[k] for k in ("cut", "cuts_tried")} == {
+        "cut": [5, 3], "cuts_tried": 3}
+    assert cx.s2() == 2 and len(built) == 3
+    monkeypatch.undo()
+    assert reference_qgr(cx, g) == 3
+
+
+def test_qgr_on_the_s2_window_never_builds_the_differential(monkeypatch):
+    from linksn import verify
+
+    def refuse(cx):
+        raise AssertionError("the full differential was built")
+    monkeypatch.setattr(lee.FilteredComplex, "columns", property(refuse))
+    for word, strands in ([1, -2, 1, -2, 1], 3), NP_3S10C_2, ([1, 1, 1], 2):
+        d = dg.parse_braid(word, strands)
+        cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+        window_view(cx)
+        cx.stats()
+        lee.s2(d)
+    for suite in ("known-values", "label-independence", "max-identity",
+                  "eq4.1", "low-generator"):
+        checks, failures = verify.PROPERTIES[suite]()
+        assert checks and not failures
 
 
 # -- homological windows ------------------------------------------------------
@@ -476,7 +525,8 @@ def test_stats():
     # resolutions: r = 2 at h = 0, 1 at h = 1, 2 at h = 2, 3 at h = 3
     assert lee.FilteredComplex(d, window=(-1, 1)).stats() == {
         "window": [0, 1], "resolutions": 4, "dim": 4 + 3 * 2,
-        "nnz": 4 * 3, "boundary_cols": 0}
+        "nnz": 4 * 3, "boundary_cols": 0,
+        "cut": [], "cuts_tried": 0, "pivots": 0, "cut_nnz": 0}
     full = lee.FilteredComplex(d).stats()
     assert full["window"] == [0, 3] and full["resolutions"] == 8
     assert full["dim"] == 30
@@ -485,3 +535,25 @@ def test_stats():
     assert st_["nnz"] == sum(len(c) for c in cx.columns)
     assert st_["boundary_cols"] == len(cx.by_h[-1])
     assert st_["dim"] == len(cx.basis_h)
+
+
+def test_stats_report_the_cut_without_building_the_differential():
+    d = dg.parse_braid(*NP_3S10C_2)
+    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    cx.s2()
+    st_ = cx.stats()
+    assert "columns" not in cx.__dict__
+    assert (st_["cut"], st_["cuts_tried"]) == ([5, 3], 3)
+    # each cut's vectors: the degree -1 columns from sources in its
+    # block at q >= its level, projected onto the degree-0 rows there
+    nnz = rank = 0
+    for level in st_["cut"]:
+        projected = [{row: c for row, c in cx.columns[i]
+                      if cx.basis_q[row] >= level}
+                     for i in cx.by_h[-1] if cx.basis_q[i] >= level
+                     and (cx.basis_q[i] - level) % 4 == 0]
+        nnz += sum(len(v) for v in projected)
+        rank += linalg.rank(projected)
+    assert st_["cut_nnz"] == nnz > 0
+    assert st_["pivots"] == rank > 0
+    assert st_["nnz"] == sum(len(c) for c in cx.columns)

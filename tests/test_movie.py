@@ -455,3 +455,45 @@ def test_movie_file_roundtrip(tmp_path):
     assert loaded.start.same_diagram(movie.start)
     l1, l2 = mv.validate_movie(movie), mv.validate_movie(loaded)
     assert l1.chi == l2.chi and l1.end.same_diagram(l2.end)
+
+
+def test_saved_movie_keeps_the_starts_numbering(tmp_path):
+    # the mirror's crossings are neither in canonical order nor numbered
+    # canonically; every saddle the moves name must still be that saddle
+    start = dg.mirror(TREFOIL)
+    assert start.crossings != start.canonical().crossings
+    path = tmp_path / "movie.jsonl"
+    saved = 0
+    for (a, b), k in itertools.product(
+            itertools.combinations(start.edges, 2), range(3)):
+        movie = mv.Movie(start, [mv.Move("H1", edges=(a, b)),
+                                 mv.Move("R1-", crossings=(k,))])
+        try:
+            ledger = mv.validate_movie(movie)
+        except InapplicableMove:
+            continue
+        mv.save_movie(movie, path)
+        loaded = mv.load_movie(path)
+        assert loaded.start.crossings == start.crossings
+        back = mv.validate_movie(loaded)
+        assert back.chi == ledger.chi
+        assert back.end.crossings == ledger.end.crossings
+        saved += 1
+    assert saved > 0
+
+
+def test_save_movie_refuses_a_start_it_would_renumber(tmp_path):
+    # the loop is edge 1, but PD text numbers a U after the crossing edges
+    start = dg.disjoint_union(dg.unknot(), TREFOIL)
+    assert start.loops == (1,)
+    movie = mv.Movie(start, [mv.Move("H2", edges=(1,))])
+    assert mv.validate_movie(movie).end.same_diagram(TREFOIL)
+    path = tmp_path / "movie.jsonl"
+    with pytest.raises(InputError, match="loops"):
+        mv.save_movie(movie, path)
+    assert not path.exists()
+    # with the loop numbered last, the same movie saves and loads back
+    start = dg.disjoint_union(TREFOIL, dg.unknot())
+    movie = mv.Movie(start, [mv.Move("H2", edges=start.loops)])
+    mv.save_movie(movie, path)
+    assert mv.validate_movie(mv.load_movie(path)).end.same_diagram(TREFOIL)
