@@ -380,8 +380,7 @@ def sn_eval(expr, n):
 
 def refine_with_engine(expr):
     """Exact n=2 value of a realizable expression via the homology engine."""
-    return _exact(2, lee.s2(expr.realize()),
-                  ["engine refinement: filtered homology at n=2"])
+    return EngineDiagram(expr.realize()).eval(2)
 
 
 # -- (de)serialization --------------------------------------------------------

@@ -12,7 +12,6 @@ import sys
 
 from . import calculus as ca
 from . import diagram as dg
-from . import lee
 from . import movie as mv
 from . import verify
 from .errors import InputError, LinkError
@@ -79,8 +78,7 @@ def _diagram_values(d, n_range):
     values = {}
     for n in n_range:
         if n == 2:
-            values[2] = ca.SnValue(2, *(lee.s2(d),) * 2,
-                                   ["engine: filtered homology at n=2"])
+            values[2] = ca.EngineDiagram(d).eval(2)
         else:
             values[n] = ca.sn_diagram_interval(d, n)
     return values
@@ -102,7 +100,7 @@ def _bounds_dict(d, values, source):
             bounds["sp_torus"] = ca.torus_splitting(p, q)
     if l > 1 and 2 in values and values[2].exact:
         try:
-            parts = [ca.SnValue(2, *(lee.s2(dg.sublink(d, [i])),) * 2)
+            parts = [ca.EngineDiagram(dg.sublink(d, [i])).eval(2)
                      for i in range(l)]
             bounds["sp_lb"] = ca.sp_lower_bound(values[2], parts, l)
         except (LinkError, ValueError):

@@ -102,7 +102,6 @@ class LinkDiagram:
             raise InconsistentDiagram("loop edge id collides with a crossing edge")
         if len(set(self.loops)) != len(self.loops):
             raise InconsistentDiagram("duplicate loop edge id")
-        self._incoming_at = incoming
 
     def check_planar(self):
         """Raise InconsistentDiagram unless the PD is drawn in the plane.

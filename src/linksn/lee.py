@@ -31,6 +31,12 @@ Kerber 2011, and of Bauer, Kerber and Reininghaus 2014: skip the work
 that cannot change the answer).  The deepest cut tried in each block is
 cached on the complex and shared by every question asked of it.
 
+The canonical chain g (Lee; Rasmussen, math/0402131) is built in one
+place, ``canonical_cycle``: a product over the Seifert circles at the
+oriented resolution, where q = q0 + 2|s| for the subset s of circles
+carrying x.  So the parity pieces h_0 and h_1 of g are its parts in the
+two q mod 4 blocks, read off g, and ``s2`` is qgr(g) - 1.
+
 ``s2`` reads only homological degrees -1 and 0: the level of a degree-0
 cycle depends only on the degree -1 boundaries that land in degree 0.
 So ``lee.s2`` builds the complex in the window (-1, 0): the resolutions
@@ -63,21 +69,6 @@ from .errors import InconsistentDiagram, NotACycle, TooLarge, ZeroClass
 
 MAX_GENERATORS = 1 << 20   # the generators one build may create
 S2_WINDOW = (-1, 0)   # the homological degrees qgr reads
-
-
-@dataclass
-class CanonicalClass:
-    """A Gornik/Lee canonical cycle supported at the oriented resolution."""
-    label: int                  # global root label, +1 or -1
-    circle_labels: tuple        # per-Seifert-circle value in {+1, -1}
-    chain: dict                 # basis index -> integer coefficient
-
-
-@dataclass
-class HClass:
-    """Homogeneous-parity piece of the canonical generators."""
-    p: int                      # residue in {0, 1}
-    chain: dict
 
 
 @dataclass
@@ -308,8 +299,12 @@ class FilteredComplex:
         return dim_h - rank_out - rank_in
 
     def homology_dimension(self):
+        """The sum of ``homology_rank`` over the cube, with each boundary
+        map ranked once: every rank is subtracted from the degree it
+        leaves and from the degree it enters."""
         self._require(*self.degrees, "homology_dimension")
-        return sum(self.homology_rank(h) for h in self.by_h)
+        return self.dim - 2 * sum(linalg.rank(self.boundary_columns(h))
+                                  for h in self.by_h)
 
     # -- the quantum filtration grading ------------------------------------
 
@@ -419,16 +414,12 @@ class FilteredComplex:
 
     # -- canonical generators ----------------------------------------------
 
-    @property
-    def oriented_t(self):
-        return self.diagram.oriented_mask
-
     def seifert_coloring(self):
         """2-coloring of the Seifert graph by nesting parity.
 
         The Seifert graph of a planar diagram is bipartite; a wrong
         coloring would give a chain that ``_is_cycle`` rejects."""
-        t = self.oriented_t
+        t = self.diagram.oriented_mask
         circ = self.circles[t]
         where = {}
         for k, c in enumerate(circ):
@@ -455,57 +446,54 @@ class FilteredComplex:
         return [color[k] for k in range(len(circ))]
 
     def canonical_cycle(self, label):
-        """The constant-label canonical cycle, a product over Seifert
-        circles of (x_c + label_c) with alternating per-circle labels."""
+        """The canonical cycle g of root label +1 or -1, as a chain.
+
+        g is the product over the Seifert circles of (x_c + label_c), the
+        labels alternating with the coloring, at the oriented resolution.
+        The product is built by doubling, once per circle: subsets
+        without the circle take its label, subsets with it its x.  Its
+        part in one q mod 4 block is a parity piece ``h_cycle``."""
         if label not in (1, -1):
             raise ValueError("label must be +1 or -1")
         self._require(0, 0, "canonical_cycle")
-        coloring = self.seifert_coloring()
-        eps = [label * (1 if col == 0 else -1) for col in coloring]
-        chain = self._product_chain(eps)
-        cls = CanonicalClass(label=label, circle_labels=tuple(eps), chain=chain)
+        coeffs = [1]
+        for col in self.seifert_coloring():
+            eps = label if col == 0 else -label
+            coeffs = [c * eps for c in coeffs] + coeffs
+        chain = dict(enumerate(coeffs, self.start[self.diagram.oriented_mask]))
         if not self._is_cycle(chain):
             raise InconsistentDiagram("canonical chain is not a cycle")
-        return cls
-
-    def _product_chain(self, eps, parity=None):
-        t = self.oriented_t
-        r = len(self.circles[t])
-        chain = {}
-        for subset in range(1 << r):
-            if parity is not None and bin(subset).count("1") % 2 != parity:
-                continue
-            coeff = 1
-            for k in range(r):
-                if not (subset >> k) & 1:
-                    coeff *= eps[k]
-            chain[self.start[t] + subset] = coeff
         return chain
 
+    def _parity_part(self, chain, p):
+        """The terms of ``chain`` whose subset has parity p."""
+        return {i: v for i, v in chain.items()
+                if self.basis_subset[i].bit_count() % 2 == p}
+
     def h_cycle(self, p):
-        """Parity-p piece: all squarefree monomials of degree = p (mod 2),
-        signed so that the +1 canonical cycle equals h_0 + h_1."""
+        """The parity piece h_p: the terms of ``canonical_cycle(1)`` whose
+        subset s has |s| = p (mod 2).
+
+        At the oriented resolution q = q0 + 2|s|, so h_p is g's part in
+        the q mod 4 block of q0 + 2p.  d keeps q or drops it by 4, so that
+        part of a cycle is itself a cycle, g = h_0 + h_1, and
+        ``canonical_cycle(-1)`` is (-1)^r (h_0 - h_1) over r circles."""
         if p not in (0, 1):
             raise ValueError("p must be 0 or 1")
-        self._require(0, 0, "h_cycle")
-        coloring = self.seifert_coloring()
-        eps = [1 if col == 0 else -1 for col in coloring]
-        chain = self._product_chain(eps, parity=p)
-        if not self._is_cycle(chain):
-            raise InconsistentDiagram("h-chain is not a cycle")
-        return HClass(p=p, chain=chain)
+        return self._parity_part(self.canonical_cycle(1), p)
 
     def low_generator(self):
-        """A parity class whose filtration level certifies the spread
-        below the canonical generator."""
-        cycles = [self.h_cycle(p) for p in (0, 1)]
-        level, p = min((self.qgr(c.chain), c.p) for c in cycles)
-        return p, cycles[p], level
+        """The parity piece of lower filtration level, as (p, h_p,
+        level); both pieces come from one canonical chain."""
+        g = self.canonical_cycle(1)
+        pieces = [self._parity_part(g, p) for p in (0, 1)]
+        level, p = min((self.qgr(h), p) for p, h in enumerate(pieces))
+        return p, pieces[p], level
 
     # -- top-level invariant -------------------------------------------------
 
     def s2(self):
-        return self.qgr(self.canonical_cycle(1).chain) - 1
+        return self.qgr(self.canonical_cycle(1)) - 1
 
 
 def s2(diagram):

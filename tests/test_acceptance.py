@@ -142,6 +142,6 @@ def test_criterion_8_cobordism_certificates():
 def test_criterion_9_interval_soundness():
     """No general-n engine exists; the compensating guarantee is that
     every calculus interval contains the engine's exact n=2 value."""
-    checks, failures = verify.check_interval_soundness(seed=7, count=20)
+    checks, failures = verify.check_interval_soundness(seed=7)
     assert checks == 20
     assert not failures, failures

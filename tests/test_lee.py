@@ -42,21 +42,41 @@ def test_d_squared_zero():
 def test_canonical_cycle_is_cycle():
     cx = complex_for([1, 1, 1], 2)
     for label in (1, -1):
-        chain = cx.canonical_cycle(label).chain
+        chain = cx.canonical_cycle(label)
         assert not cx.apply_differential(chain)
     with pytest.raises(ValueError):
         cx.canonical_cycle(2)
 
 
 def test_h_cycles_sum_to_canonical():
-    cx = complex_for([1, -2, 1, -2], 3)
-    h0 = cx.h_cycle(0).chain
-    h1 = cx.h_cycle(1).chain
-    g = cx.canonical_cycle(1).chain
-    total = dict(h0)
-    for k, v in h1.items():
-        total[k] = total.get(k, 0) + v
-    assert {k: v for k, v in total.items() if v} == g
+    # the figure eight closes 3 strands, the trefoil 2: r odd and even
+    for word, strands in [([1, -2, 1, -2], 3), ([1, 1, 1], 2)]:
+        cx = complex_for(word, strands)
+        h0 = cx.h_cycle(0)
+        h1 = cx.h_cycle(1)
+        g = cx.canonical_cycle(1)
+        total = dict(h0)
+        for k, v in h1.items():
+            total[k] = total.get(k, 0) + v
+        assert {k: v for k, v in total.items() if v} == g
+        # each piece is g's part in one q mod 4 block, and the blocks differ
+        blocks = [{cx.basis_q[i] % 4 for i in h} for h in (h0, h1)]
+        assert [len(b) for b in blocks] == [1, 1] and blocks[0] != blocks[1]
+        r = len(cx.diagram.seifert_circles)
+        assert r == strands
+        assert cx.canonical_cycle(-1) == {
+            i: (-1) ** r * (h0.get(i, 0) - h1.get(i, 0)) for i in g}
+
+
+def test_homology_dimension_ranks_each_boundary_map_once(monkeypatch):
+    cx = complex_for([1, -2, 1, -2], 3)       # degrees -2..2
+    ranked = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank",
+                        lambda cols: ranked.append(len(cols)) or rank(cols))
+    assert cx.homology_dimension() == 2
+    # one rank per degree: the maps out of -2..1 and the zero map out of 2
+    assert sorted(ranked) == sorted(len(cx.by_h[h]) for h in cx.by_h)
 
 
 def test_qgr_rejects_non_cycles():
@@ -152,10 +172,10 @@ def test_budget_stops_the_build_before_any_column(monkeypatch):
 
 def test_low_generator():
     cx = complex_for([1, 1, 1], 2)
-    p, cls, level = cx.low_generator()
+    p, h, level = cx.low_generator()
     assert p in (0, 1)
-    assert not cx.apply_differential(cls.chain)
-    assert level <= cx.qgr(cx.canonical_cycle(1).chain)
+    assert not cx.apply_differential(h)
+    assert level <= cx.qgr(cx.canonical_cycle(1))
 
 
 def test_empty_link_rejected():
@@ -220,8 +240,8 @@ def mixed_braids(max_size):
 @given(mixed_braids(7))
 def test_qgr_matches_level_scan(braid):
     cx = complex_for(*braid)
-    chains = [cx.canonical_cycle(label).chain for label in (1, -1)]
-    chains += [cx.h_cycle(p).chain for p in (0, 1)]
+    chains = [cx.canonical_cycle(label) for label in (1, -1)]
+    chains += [cx.h_cycle(p) for p in (0, 1)]
     for chain in chains:
         assert (level_or_zero(cx.qgr, chain)
                 == level_or_zero(lambda c: reference_qgr(cx, c), chain))
@@ -249,7 +269,7 @@ def test_one_echelon_per_cut_tried(monkeypatch):
     assert len(built) == tried
     # the cached cut answers every question whose level lies at or above it
     for label in (1, -1):
-        cx.qgr(cx.canonical_cycle(label).chain)
+        cx.qgr(cx.canonical_cycle(label))
     cx.low_generator()
     cx.s2()
     assert len(built) == cx.stats()["cuts_tried"] == tried
@@ -261,7 +281,7 @@ NP_3S10C_2 = ([-1, 2, -1, -2, 2, -2, -1, 1, -2, -1], 3)
 def test_qgr_deepens_the_cut_below_the_chains_top(monkeypatch):
     d = dg.parse_braid(*NP_3S10C_2)
     cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
-    g = cx.canonical_cycle(1).chain
+    g = cx.canonical_cycle(1)
     assert max(cx.basis_q[i] for i in g) == 7
     built = count_echelons(monkeypatch)
     assert cx.qgr(g) == 3
@@ -300,7 +320,7 @@ def window_view(cx):
     """What s2 reads off a complex: s2, the low generator's parity and
     level, and qgr of both canonical labels."""
     p, _, level = cx.low_generator()
-    labels = [level_or_zero(cx.qgr, cx.canonical_cycle(label).chain)
+    labels = [level_or_zero(cx.qgr, cx.canonical_cycle(label))
               for label in (1, -1)]
     return cx.s2(), p, level, labels
 
@@ -335,7 +355,7 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
     full = lee.FilteredComplex(d)
     narrow = lee.FilteredComplex(d, window=lee.S2_WINDOW)
     assert narrow.window == (-1, 0) and 1 not in narrow.by_h
-    g = narrow.canonical_cycle(1).chain
+    g = narrow.canonical_cycle(1)
     rejected = 0
     for i in full.by_h[0]:
         image = full.apply_differential({i: 1})
@@ -350,7 +370,7 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
             narrow.qgr({**g, j: g.get(j, 0) + 1})
     assert rejected > 0
     # the terms of a cycle's images cancel across its resolutions
-    assert narrow.qgr(g) == full.qgr(full.canonical_cycle(1).chain)
+    assert narrow.qgr(g) == full.qgr(full.canonical_cycle(1))
 
 
 def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
@@ -386,10 +406,10 @@ def test_cycles_need_degree_zero_only():
     for cycle in (lambda cx: cx.canonical_cycle(1),
                   lambda cx: cx.canonical_cycle(-1),
                   lambda cx: cx.h_cycle(0), lambda cx: cx.h_cycle(1)):
-        assert (generators(zero, cycle(zero).chain)
-                == generators(full, cycle(full).chain))
+        assert (generators(zero, cycle(zero))
+                == generators(full, cycle(full)))
     with pytest.raises(ValueError):
-        zero.qgr(zero.canonical_cycle(1).chain)
+        zero.qgr(zero.canonical_cycle(1))
     above = lee.FilteredComplex(d, window=(1, 2))
     with pytest.raises(ValueError):
         above.canonical_cycle(1)
@@ -503,7 +523,7 @@ def test_window_questions_outside_it_raise():
             question()
     shifted = lee.FilteredComplex(d, window=(0, 2))
     with pytest.raises(ValueError):
-        shifted.qgr(shifted.canonical_cycle(1).chain)
+        shifted.qgr(shifted.canonical_cycle(1))
     with pytest.raises(ValueError):
         lee.FilteredComplex(d, window=(1, 0))
 
