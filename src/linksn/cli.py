@@ -68,10 +68,6 @@ def _value_dict(v):
     return {"lo": v.lo, "hi": v.hi}
 
 
-def _value_str(v):
-    return str(v.lo) if v.exact else f"[{v.lo}, {v.hi}]"
-
-
 def _diagram_values(d, n_range):
     """One SnValue per requested n: the engine at n=2, closed forms or
     the crossing-change interval elsewhere."""
@@ -175,7 +171,7 @@ def cmd_eval(args, out):
         print(json.dumps(report, indent=2), file=out)
     else:
         for n in sorted(values):
-            print(f"s_{n} = {_value_str(values[n])}", file=out)
+            print(repr(values[n]), file=out)
             for line in values[n].trace:
                 print(f"  # {line}", file=out)
         if "engine_refinement" in report:

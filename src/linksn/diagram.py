@@ -298,7 +298,6 @@ class ResolutionStats:
     w: int
     c: int
     l: int
-    is_positive: bool
 
 
 def resolution_stats(diagram):
@@ -308,7 +307,6 @@ def resolution_stats(diagram):
         w=diagram.writhe,
         c=diagram.n_crossings,
         l=diagram.n_components,
-        is_positive=diagram.is_positive,
     )
 
 

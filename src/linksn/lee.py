@@ -39,20 +39,18 @@ two q mod 4 blocks, read off g, and ``s2`` is qgr(g) - 1.
 
 ``s2`` reads only homological degrees -1 and 0: the level of a degree-0
 cycle depends only on the degree -1 boundaries that land in degree 0.
-So ``lee.s2`` builds the complex in the window (-1, 0): the resolutions
-with |t| - N_minus in that range, their circles and the basis.  A cut
-makes its vectors from the edge maps, and the window's full differential
-(``columns``) is built only when a full-cube question reads it.  That a
-degree-0 chain is a cycle is checked on demand: the edge maps out of the
-chain's own resolutions are applied, and the circles of each
-neighbouring resolution are memoized on the complex.  ``dim`` counts the
-generators built, not the full cube's, and no resolution outside the
-window is visited by the build.
+So ``FilteredComplex(diagram)`` builds only the resolutions with
+|t| - N_minus in -1..0, their circles and the basis, and a cut makes its
+vectors from the edge maps.  ``FilteredComplex(diagram, whole=True)``
+builds every degree, for the checks of d^2, the q drop and the homology.
+A degree-0 chain is checked to be a cycle on demand, by the edge maps out
+of its own resolutions; the circles of each neighbouring resolution are
+memoized on the complex.  ``dim`` counts the generators built.
 
-A build costs the generators it creates, the sum of 2^r over the
-window's r-circle resolutions, so that count, not the crossing count,
-is held to ``MAX_GENERATORS``, and ``TooLarge`` is raised before any
-column is allocated.
+A build costs the generators it creates, the sum of 2^r over its
+r-circle resolutions, so that count, not the crossing count, is held to
+``MAX_GENERATORS``, and ``TooLarge`` is raised before any column is
+allocated.
 
 The edge maps assume that every smoothing change merges two circles or
 splits one, which holds for a planar diagram.  The complex checks that
@@ -68,7 +66,6 @@ from . import linalg
 from .errors import InconsistentDiagram, NotACycle, TooLarge, ZeroClass
 
 MAX_GENERATORS = 1 << 20   # the generators one build may create
-S2_WINDOW = (-1, 0)   # the homological degrees qgr reads
 
 
 @dataclass
@@ -81,39 +78,38 @@ class Cut:
 
 
 class FilteredComplex:
-    """The complex in homological degrees ``window = (lo, hi)``.
+    """The complex in homological degrees -1..0, or in every degree if
+    ``whole``.
 
-    The default window is the whole cube.  A narrower one builds only the
-    resolutions with ``lo <= h <= hi``; ``columns``, the differential out
-    of degrees ``lo..hi-1``, is built on first use.  Cycle checks apply
-    the differential on demand, so they work in every built degree,
-    ``hi`` included.  Questions that need a degree outside the window
-    raise ``ValueError``.  A degree outside the cube is empty, so it never
-    needs building: the window is clipped to the cube's degrees.
+    Both builds answer ``s2``, ``qgr`` and the canonical cycles, whose
+    cycle checks apply the differential on demand.  ``columns``, the
+    differential between built degrees, is built on first use.  The
+    questions that read every degree (``apply_differential``,
+    ``check_d_squared``, ``boundary_columns``, ``homology_rank`` and
+    ``homology_dimension``) raise ``ValueError`` unless ``whole``.  A
+    degree outside the cube is empty, so -1..0 is clipped to the cube.
     """
 
-    def __init__(self, diagram, window=None):
+    def __init__(self, diagram, whole=False):
         diagram.check_planar()
         self.diagram = diagram
+        self.whole = whole
         self.n = diagram.n_crossings
         self.writhe = diagram.writhe
         self.n_minus = sum(1 for x in diagram.crossings if x.sign < 0)
         self.degrees = (-self.n_minus, self.n - self.n_minus)  # the cube's
-        lo, hi = self.degrees if window is None else window
-        if lo > hi:
-            raise ValueError(f"empty homological window {window}")
-        self.window = (max(lo, self.degrees[0]), min(hi, self.degrees[1]))
+        self.built = self.degrees if whole else (max(-1, -self.n_minus), 0)
         self._build()
 
     # -- construction ----------------------------------------------------
 
     def _build(self):
         d = self.diagram
-        lo, hi = self.window
-        # t -> tuple of frozensets, for t in the window and for the
-        # neighbours an on-demand cycle check has visited
+        lo, hi = self.built
+        # t -> tuple of frozensets, for t built and for the neighbours an
+        # on-demand cycle check has visited
         self.circles = {}
-        self.start = {}        # t -> first basis index, for t in the window
+        self.start = {}        # t -> first basis index, for t built
         self.basis_t = []      # per basis element
         self.basis_subset = []
         self.basis_h = []
@@ -125,7 +121,7 @@ class FilteredComplex:
         if resolutions > MAX_GENERATORS:
             raise TooLarge(f"{resolutions} resolutions in degrees {lo}..{hi} "
                            f"exceed the budget of {MAX_GENERATORS} generators")
-        # the window's resolutions in ascending t, the order of the basis
+        # the resolutions built in ascending t, the order of the basis
         masks = sorted(sum(1 << i for i in ones) for k in popcounts
                        for ones in itertools.combinations(range(self.n), k))
         idx = 0
@@ -151,9 +147,9 @@ class FilteredComplex:
 
     @cached_property
     def columns(self):
-        """The differential of the window, basis index -> list of (row,
-        coeff), built on first use; ``qgr`` never reads it."""
-        hi = self.window[1]
+        """The differential between built degrees, basis index -> list of
+        (row, coeff), built on first use; ``qgr`` never reads it."""
+        hi = self.built[1]
         columns = [[] for _ in range(self.dim)]
         for t, first in self.start.items():
             if t.bit_count() - self.n_minus == hi:
@@ -166,27 +162,24 @@ class FilteredComplex:
                         col.append((offset + out, sign))
         return columns
 
-    def _require(self, a, b, question):
-        """Raise ValueError unless degrees ``a..b`` are all built."""
-        lo, hi = self.window
-        h_min, h_max = self.degrees
-        for h in range(a, b + 1):
-            if not (lo <= h <= hi or not h_min <= h <= h_max):
-                raise ValueError(
-                    f"{question} needs homological degrees {a}..{b}, "
-                    f"but the complex holds only {lo}..{hi}")
+    def _whole_differential(self):
+        """``columns``, for the questions that read every degree."""
+        if not self.whole:
+            raise ValueError("this question reads every homological degree; "
+                             "build FilteredComplex(diagram, whole=True)")
+        return self.columns
 
     def stats(self):
         """Sizes of what was built, and of the cached ``qgr`` cuts.
 
-        ``nnz`` counts the window's differential, built or not: an edge
-        out of an r-circle resolution has 2^r terms if it merges and
+        ``nnz`` counts the entries of ``columns`` without building it: an
+        edge out of an r-circle resolution has 2^r terms if it merges and
         2^(r+1) if it splits.  ``cut`` lists the levels of the cached
         ``qgr`` cuts, at most one per q mod 4 block, highest first;
         ``cuts_tried`` counts the echelons built so far, and ``pivots``
         and ``cut_nnz`` the cached cuts' rank and the nonzeros of the
         vectors they eliminated."""
-        hi = self.window[1]
+        hi = self.built[1]
         nnz = 0
         for t in self.start:
             if t.bit_count() - self.n_minus == hi:
@@ -198,7 +191,7 @@ class FilteredComplex:
                     nnz += 1 << (r + split)
         cuts = self._cuts.values()
         return {
-            "window": list(self.window),
+            "degrees": list(self.built),
             "resolutions": len(self.start),
             "dim": self.dim,
             "nnz": nnz,
@@ -255,24 +248,23 @@ class FilteredComplex:
     # -- chain-level helpers ----------------------------------------------
 
     def apply_differential(self, chain):
+        columns = self._whole_differential()
         out = {}
         for i, coeff in chain.items():
-            for row, c in self.columns[i]:
+            for row, c in columns[i]:
                 out[row] = out.get(row, 0) + coeff * c
         return {k: v for k, v in out.items() if v}
 
     def check_d_squared(self):
-        for i in range(self.dim):
-            if self.apply_differential(dict(self.columns[i])):
-                return False
-        return True
+        return not any(self.apply_differential(dict(col))
+                       for col in self._whole_differential())
 
     def _is_cycle(self, chain):
         """Whether d(chain) = 0.
 
         d is applied on demand from the edge maps out of the chain's own
         resolutions, so the check needs no column built: it works in
-        every degree of every window, the window's top included.
+        every built degree, the top one included.
         """
         by_t = {}
         for i, v in chain.items():
@@ -289,8 +281,8 @@ class FilteredComplex:
 
     def boundary_columns(self, h):
         """Images of the basis elements in homological degree h."""
-        self._require(h, h + 1, f"the boundary map out of degree {h}")
-        return [dict(self.columns[i]) for i in self.by_h.get(h, [])]
+        columns = self._whole_differential()
+        return [dict(columns[i]) for i in self.by_h.get(h, [])]
 
     def homology_rank(self, h):
         dim_h = len(self.by_h.get(h, []))
@@ -302,7 +294,6 @@ class FilteredComplex:
         """The sum of ``homology_rank`` over the cube, with each boundary
         map ranked once: every rank is subtracted from the degree it
         leaves and from the degree it enters."""
-        self._require(*self.degrees, "homology_dimension")
         return self.dim - 2 * sum(linalg.rank(self.boundary_columns(h))
                                   for h in self.by_h)
 
@@ -329,7 +320,6 @@ class FilteredComplex:
         """
         if not chain:
             raise ZeroClass("the zero chain has no filtration grading")
-        self._require(-1, 0, "qgr")
         if any(self.basis_h[i] for i in chain):
             raise NotACycle("chain is not homogeneous of homological degree 0")
         if not self._is_cycle(chain):
@@ -455,7 +445,6 @@ class FilteredComplex:
         part in one q mod 4 block is a parity piece ``h_cycle``."""
         if label not in (1, -1):
             raise ValueError("label must be +1 or -1")
-        self._require(0, 0, "canonical_cycle")
         coeffs = [1]
         for col in self.seifert_coloring():
             eps = label if col == 0 else -label
@@ -500,4 +489,4 @@ def s2(diagram):
     """The n=2 concordance invariant of the link presented by ``diagram``."""
     if diagram.n_components == 0:
         raise ValueError("s2 of the empty link is undefined")
-    return FilteredComplex(diagram, window=S2_WINDOW).s2()
+    return FilteredComplex(diagram).s2()

@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass, field
 
 from . import diagram as dg
-from .diagram import Crossing, LinkDiagram, _crossing_from_strands
+from .diagram import (Crossing, LinkDiagram, _crossing_from_strands,
+                      _swap_incoming)
 from .errors import (
     InapplicableMove,
     InconsistentDiagram,
@@ -80,21 +81,6 @@ def _rename(crossings, old, new):
     return out
 
 
-def _replace_incoming(crossings, old, new):
-    """Replace the single incoming-slot occurrence of ``old``."""
-    out = []
-    for x in crossings:
-        a, b, c, d = x.a, x.b, x.c, x.d
-        if a == old:
-            a = new
-        elif x.sign > 0 and d == old:
-            d = new
-        elif x.sign < 0 and b == old:
-            b = new
-        out.append(Crossing(a, b, c, d, x.sign))
-    return out
-
-
 def _apply(d, m):
     """Returns (new diagram, info) where info records edge genealogy:
     ``inherit`` maps new/kept edge -> parent edge, ``births`` lists loop
@@ -143,7 +129,7 @@ def _r1(d, m, info):
             info["inherit"][g] = e
             return LinkDiagram(d.crossings + (x,),
                                tuple(x for x in d.loops if x != e))
-        crossings = _replace_incoming(d.crossings, e, f)
+        crossings = [_swap_incoming(x, e, f) for x in d.crossings]
         x = Crossing(e, f, g, g, 1) if sign > 0 else Crossing(e, g, g, f, -1)
         info["inherit"][f] = e
         info["inherit"][g] = e
@@ -192,13 +178,13 @@ def _r2(d, m, info):
             loops.remove(e_a)
             f_a = e_a
         else:
-            crossings = _replace_incoming(crossings, e_a, f_a)
+            crossings = [_swap_incoming(x, e_a, f_a) for x in crossings]
             info["inherit"][f_a] = e_a
         if e_b in d.loops:
             loops.remove(e_b)
             f_b = e_b
         else:
-            crossings = _replace_incoming(crossings, e_b, f_b)
+            crossings = [_swap_incoming(x, e_b, f_b) for x in crossings]
             info["inherit"][f_b] = e_b
         info["inherit"][m_a] = e_a
         info["inherit"][m_b] = e_b

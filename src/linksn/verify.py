@@ -46,11 +46,11 @@ def corpus():
     ]
 
 
-def _complexes(window=None):
-    """The corpus complexes, over the whole cube unless ``window`` says
-    otherwise; suites that only ask qgr questions pass ``lee.S2_WINDOW``."""
+def _complexes(whole=False):
+    """The corpus complexes: degrees -1..0 for the suites that only ask
+    qgr questions, every degree if ``whole``."""
     for name, d, _ in corpus():
-        yield name, lee.FilteredComplex(d, window=window)
+        yield name, lee.FilteredComplex(d, whole=whole)
 
 
 def check_known_values(seed=0):
@@ -69,7 +69,7 @@ def check_known_values(seed=0):
 def check_d_squared(seed=0):
     failures = []
     n = 0
-    for name, cx in _complexes():
+    for name, cx in _complexes(whole=True):
         n += 1
         if not cx.check_d_squared():
             failures.append(f"{name}: d^2 != 0")
@@ -80,7 +80,7 @@ def check_filtration_drop(seed=0):
     """Every differential matrix entry drops q by exactly 0 or 4."""
     failures = []
     n = 0
-    for name, cx in _complexes():
+    for name, cx in _complexes(whole=True):
         n += 1
         for col in range(cx.dim):
             for row, _ in cx.columns[col]:
@@ -94,7 +94,7 @@ def check_filtration_drop(seed=0):
 def check_homology_dimension(seed=0):
     failures = []
     n = 0
-    for name, cx in _complexes():
+    for name, cx in _complexes(whole=True):
         n += 1
         want = 2 ** cx.diagram.n_components
         got = cx.homology_dimension()
@@ -107,7 +107,7 @@ def check_label_independence(seed=0):
     """qgr of the canonical cycle is the same for both root labels."""
     failures = []
     n = 0
-    for name, cx in _complexes(lee.S2_WINDOW):
+    for name, cx in _complexes():
         n += 1
         g_plus = cx.qgr(cx.canonical_cycle(1))
         g_minus = cx.qgr(cx.canonical_cycle(-1))
@@ -120,7 +120,7 @@ def check_max_identity(seed=0):
     """qgr of the canonical cycle equals the max over its parity pieces."""
     failures = []
     n = 0
-    for name, cx in _complexes(lee.S2_WINDOW):
+    for name, cx in _complexes():
         n += 1
         g = cx.qgr(cx.canonical_cycle(1))
         parts = [cx.qgr(cx.h_cycle(p)) for p in (0, 1)]
@@ -133,7 +133,7 @@ def check_eq41(seed=0):
     """qgr(h_p) = 2p + (1-n)(w + r) mod 2n at n = 2."""
     failures = []
     n = 0
-    for name, cx in _complexes(lee.S2_WINDOW):
+    for name, cx in _complexes():
         st = dg.resolution_stats(cx.diagram)
         for p in (0, 1):
             n += 1
@@ -147,7 +147,7 @@ def check_eq41(seed=0):
 def check_low_generator(seed=0):
     failures = []
     n = 0
-    for name, cx in _complexes(lee.S2_WINDOW):
+    for name, cx in _complexes():
         n += 1
         _, _, level = cx.low_generator()
         g = cx.qgr(cx.canonical_cycle(1))

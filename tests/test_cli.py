@@ -185,6 +185,17 @@ def test_recorded_reports_unchanged(monkeypatch):
         assert run_cli(*case["argv"]) == (0, case["stdout"])
 
 
+def test_recorded_verify_reports_unchanged():
+    """``verify --json`` prints, byte for byte, the report recorded for
+    seeds 0-2 when ``FilteredComplex`` still took a degree window: every
+    suite passes with the same number of checks."""
+    cases = json.loads((DATA / "verify_reports.json").read_text())
+    assert [c["argv"] for c in cases] == [
+        ["verify", "--seed", str(seed), "--json"] for seed in range(3)]
+    for case in cases:
+        assert run_cli(*case["argv"]) == (0, case["stdout"])
+
+
 def test_movie_command_applies_each_move_once(monkeypatch):
     applied = []
     apply = mv._apply

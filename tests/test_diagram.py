@@ -183,7 +183,6 @@ def test_sublink():
 def test_resolution_stats():
     st = dg.resolution_stats(dg.parse_braid([1, 1, 1], 2))
     assert (st.c, st.r, st.w, st.l) == (3, 2, 3, 1)
-    assert st.is_positive
 
 
 def test_canonical_is_stable():

@@ -8,7 +8,7 @@ from linksn.errors import InconsistentDiagram, NotACycle, TooLarge, ZeroClass
 
 
 def complex_for(word, strands):
-    return lee.FilteredComplex(dg.parse_braid(word, strands))
+    return lee.FilteredComplex(dg.parse_braid(word, strands), whole=True)
 
 
 def test_s2_known_values():
@@ -115,19 +115,19 @@ def test_qgr_wrong_degree():
 
 
 def test_size_limit():
-    # the full cube of T(2, 21) has 2^21 resolutions; its s2 window has one
+    # the full cube of T(2, 21) has 2^21 resolutions; degrees -1..0 one
     with pytest.raises(TooLarge, match="resolutions"):
-        lee.FilteredComplex(dg.torus_link(2, 21))
+        lee.FilteredComplex(dg.torus_link(2, 21), whole=True)
     assert lee.s2(dg.torus_link(2, 21)) == -20
 
 
 def test_budget_admits_exactly_max_generators(monkeypatch):
     d = dg.parse_braid([1, -2, 1, -2], 3)       # 34 generators in -1..0
     monkeypatch.setattr(lee, "MAX_GENERATORS", 34)
-    assert lee.FilteredComplex(d, window=lee.S2_WINDOW).dim == 34
+    assert lee.FilteredComplex(d).dim == 34
     monkeypatch.setattr(lee, "MAX_GENERATORS", 33)
     with pytest.raises(TooLarge, match="34 generators"):
-        lee.FilteredComplex(d, window=lee.S2_WINDOW)
+        lee.FilteredComplex(d)
 
 
 def test_budget_counts_resolutions_before_any_circle(monkeypatch):
@@ -205,7 +205,7 @@ def test_mirror_negates_s2():
 def reference_qgr(cx, chain):
     """The level scan: the class reaches level j iff the part of the chain
     above j lies in the span of the parts of the boundaries above j."""
-    boundaries = cx.boundary_columns(-1)
+    boundaries = [dict(cx.columns[i]) for i in cx.by_h.get(-1, ())]
     if linalg.in_span(boundaries, chain):
         raise ZeroClass("chain is a boundary")
 
@@ -280,7 +280,7 @@ NP_3S10C_2 = ([-1, 2, -1, -2, 2, -2, -1, 1, -2, -1], 3)
 
 def test_qgr_deepens_the_cut_below_the_chains_top(monkeypatch):
     d = dg.parse_braid(*NP_3S10C_2)
-    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    cx = lee.FilteredComplex(d)
     g = cx.canonical_cycle(1)
     assert max(cx.basis_q[i] for i in g) == 7
     built = count_echelons(monkeypatch)
@@ -303,8 +303,8 @@ def test_qgr_on_the_s2_window_never_builds_the_differential(monkeypatch):
     monkeypatch.setattr(lee.FilteredComplex, "columns", property(refuse))
     for word, strands in ([1, -2, 1, -2, 1], 3), NP_3S10C_2, ([1, 1, 1], 2):
         d = dg.parse_braid(word, strands)
-        cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
-        window_view(cx)
+        cx = lee.FilteredComplex(d)
+        s2_view(cx)
         cx.stats()
         lee.s2(d)
     for suite in ("known-values", "label-independence", "max-identity",
@@ -313,10 +313,10 @@ def test_qgr_on_the_s2_window_never_builds_the_differential(monkeypatch):
         assert checks and not failures
 
 
-# -- homological windows ------------------------------------------------------
+# -- the s2 complex and the whole cube ----------------------------------------
 
 
-def window_view(cx):
+def s2_view(cx):
     """What s2 reads off a complex: s2, the low generator's parity and
     level, and qgr of both canonical labels."""
     p, _, level = cx.low_generator()
@@ -328,33 +328,36 @@ def window_view(cx):
 @settings(max_examples=40, deadline=None)
 @given(mixed_braids(8))
 def test_window_matches_full_cube(braid):
-    # lee.s2's window (-1, 0), and (-1, 1), which also builds d out of 0
+    # the s2 complex, degrees -1..0, answers what s2 reads as the whole
+    # cube does
     d = dg.parse_braid(*braid)
-    full = lee.FilteredComplex(d)
+    full = lee.FilteredComplex(d, whole=True)
+    narrow = lee.FilteredComplex(d)
     assert lee.s2(d) == full.s2()
-    for window in (lee.S2_WINDOW, (-1, 1)):
-        narrow = lee.FilteredComplex(d, window=window)
-        assert window_view(narrow) == window_view(full)
-        # resolutions in ascending t, so basis indices do not depend on
-        # the window
-        assert narrow.basis_t == sorted(narrow.basis_t)
-        assert narrow.dim <= full.dim
-        # the window holds degrees lo..hi and the differential out of
-        # lo..hi-1, clipped to the cube
-        degrees = range(max(window[0], full.degrees[0]), window[1] + 1)
-        assert narrow.dim == sum(len(full.by_h.get(h, ())) for h in degrees)
-        assert narrow.stats()["nnz"] == sum(
-            len(full.columns[i]) for h in degrees[:-1]
-            for i in full.by_h.get(h, ()))
+    assert s2_view(narrow) == s2_view(full)
+    # resolutions in ascending t, the order of the basis
+    assert narrow.basis_t == sorted(narrow.basis_t)
+    assert narrow.built == (max(-1, full.degrees[0]), 0)
+    assert narrow.dim == sum(len(full.by_h.get(h, ())) for h in (-1, 0))
+
+    def generator(cx, i):
+        return cx.basis_t[i], cx.basis_subset[i]
+    # its differential is the map from degree -1 into degree 0
+    for i in range(narrow.dim):
+        j = full.start[narrow.basis_t[i]] + narrow.basis_subset[i]
+        expected = full.columns[j] if narrow.basis_h[i] == -1 else []
+        assert ([(generator(narrow, row), c) for row, c in narrow.columns[i]]
+                == [(generator(full, row), c) for row, c in expected])
+    assert narrow.stats()["nnz"] == sum(map(len, narrow.columns))
 
 
 def test_narrow_cycle_check_reaches_out_of_the_window():
-    # in (-1, 0) the images of degree-0 chains lie in degree 1, which is
-    # not built; qgr must still tell cycles from non-cycles
+    # in the s2 complex the images of degree-0 chains lie in degree 1,
+    # which is not built; qgr must still tell cycles from non-cycles
     d = dg.parse_braid([1, -2, 1, -2], 3)
-    full = lee.FilteredComplex(d)
-    narrow = lee.FilteredComplex(d, window=lee.S2_WINDOW)
-    assert narrow.window == (-1, 0) and 1 not in narrow.by_h
+    full = lee.FilteredComplex(d, whole=True)
+    narrow = lee.FilteredComplex(d)
+    assert narrow.built == (-1, 0) and 1 not in narrow.by_h
     g = narrow.canonical_cycle(1)
     rejected = 0
     for i in full.by_h[0]:
@@ -379,7 +382,7 @@ def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
     circles = d.circles
     monkeypatch.setattr(d, "circles",
                         lambda t: calls.append(t) or circles(t))
-    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    cx = lee.FilteredComplex(d)
     built = len(calls)
     assert built == cx.stats()["resolutions"]
     cx.canonical_cycle(1)
@@ -396,23 +399,20 @@ def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
 
 
 def test_cycles_need_degree_zero_only():
-    d = dg.parse_braid([1, -2, 1, -2], 3)      # degrees -2..2
-    zero = lee.FilteredComplex(d, window=(0, 0))
-    full = lee.FilteredComplex(d)
-
+    # the figure eight's s2 complex holds degrees -1..0 of -2..2, the
+    # trefoil's degree 0 alone: both give the whole cube's cycles
     def generators(cx, chain):
         return {(cx.basis_t[i], cx.basis_subset[i]): v
                 for i, v in chain.items()}
-    for cycle in (lambda cx: cx.canonical_cycle(1),
-                  lambda cx: cx.canonical_cycle(-1),
-                  lambda cx: cx.h_cycle(0), lambda cx: cx.h_cycle(1)):
-        assert (generators(zero, cycle(zero))
-                == generators(full, cycle(full)))
-    with pytest.raises(ValueError):
-        zero.qgr(zero.canonical_cycle(1))
-    above = lee.FilteredComplex(d, window=(1, 2))
-    with pytest.raises(ValueError):
-        above.canonical_cycle(1)
+    for d in dg.parse_braid([1, -2, 1, -2], 3), dg.parse_braid([1, 1, 1], 2):
+        narrow = lee.FilteredComplex(d)
+        full = lee.FilteredComplex(d, whole=True)
+        assert narrow.dim < full.dim
+        for cycle in (lambda cx: cx.canonical_cycle(1),
+                      lambda cx: cx.canonical_cycle(-1),
+                      lambda cx: cx.h_cycle(0), lambda cx: cx.h_cycle(1)):
+            assert (generators(narrow, cycle(narrow))
+                    == generators(full, cycle(full)))
 
 
 def reference_columns(cx):
@@ -491,7 +491,7 @@ def test_window_rejects_r2_splices_like_the_reference():
                 d2 = mv.apply_move(d, mv.Move("R2", edges=(a, b)))
                 spliced += 1
                 try:
-                    lee.FilteredComplex(d2, window=lee.S2_WINDOW)
+                    lee.FilteredComplex(d2)
                 except InconsistentDiagram:
                     continue
                 accepted += 1
@@ -504,62 +504,68 @@ def test_near_positive_build_stays_in_the_window():
     # resolutions; a build that walked the whole cube would not finish
     word = [-1] + [2, 1] * 20
     d = dg.parse_braid(word, 3)
-    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    cx = lee.FilteredComplex(d)
     assert cx.stats()["resolutions"] == 1 + 41
     # the positivization interval: s2 of the positive braid is
     # -(c - strands + 1), and one crossing change moves s2 by at most 2
     assert -41 <= cx.s2() <= -37
 
 
-def test_window_questions_outside_it_raise():
+def test_whole_cube_questions_raise_on_the_s2_complex():
+    # the figure eight's s2 complex does not build degree 1, where d of
+    # its degree-0 generators lands; the questions that read every
+    # degree raise rather than answer from the degrees built
     d = dg.parse_braid([1, -2, 1, -2], 3)      # degrees -2..2
-    cx = lee.FilteredComplex(d, window=(-1, 1))
-    assert cx.window == (-1, 1)
-    assert cx.homology_rank(0) == lee.FilteredComplex(d).homology_rank(0)
-    for question in (lambda: cx.homology_rank(-1),
-                     lambda: cx.homology_rank(1),
+    full = lee.FilteredComplex(d, whole=True)
+    cx = lee.FilteredComplex(d)
+    i = next(i for i in full.by_h[0]
+             if len(full.apply_differential({i: 1})) == 4)
+    j = cx.start[full.basis_t[i]] + full.basis_subset[i]
+    for question in (lambda: cx.apply_differential({j: 1}),
+                     cx.check_d_squared,
+                     lambda: cx.boundary_columns(-1),
+                     lambda: cx.homology_rank(0),
                      cx.homology_dimension):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="whole=True"):
             question()
-    shifted = lee.FilteredComplex(d, window=(0, 2))
-    with pytest.raises(ValueError):
-        shifted.qgr(shifted.canonical_cycle(1))
-    with pytest.raises(ValueError):
-        lee.FilteredComplex(d, window=(1, 0))
+    assert cx.s2() == full.s2() == 0
+    assert full.check_d_squared() and full.homology_dimension() == 2
 
 
 def test_window_clips_to_the_cube():
-    # a positive diagram has no degree -1, so (-1, 1) answers qgr and
-    # the full cube answers every degree, its end degrees included
+    # a positive diagram has no degree -1, so its s2 complex holds degree
+    # 0 alone; the whole cube answers every degree, its end ones included
     cx = complex_for([1, 1, 1], 2)
-    assert cx.window == (0, 3)
+    assert cx.built == cx.degrees == (0, 3)
     assert [cx.homology_rank(h) for h in range(4)] == [2, 0, 0, 0]
-    narrow = lee.FilteredComplex(cx.diagram, window=(-1, 1))
-    assert narrow.window == (0, 1)
+    narrow = lee.FilteredComplex(cx.diagram)
+    assert narrow.built == (0, 0) and list(narrow.by_h) == [0]
     assert narrow.s2() == -2
-    assert narrow.homology_rank(0) == 2
+    assert narrow.columns == [[]] * narrow.dim
 
 
 def test_stats():
     d = dg.parse_braid([1, 1, 1], 2)
     # resolutions: r = 2 at h = 0, 1 at h = 1, 2 at h = 2, 3 at h = 3
-    assert lee.FilteredComplex(d, window=(-1, 1)).stats() == {
-        "window": [0, 1], "resolutions": 4, "dim": 4 + 3 * 2,
-        "nnz": 4 * 3, "boundary_cols": 0,
+    assert lee.FilteredComplex(d).stats() == {
+        "degrees": [0, 0], "resolutions": 1, "dim": 4,
+        "nnz": 0, "boundary_cols": 0,
         "cut": [], "cuts_tried": 0, "pivots": 0, "cut_nnz": 0}
-    full = lee.FilteredComplex(d).stats()
-    assert full["window"] == [0, 3] and full["resolutions"] == 8
-    assert full["dim"] == 30
-    cx = complex_for([1, -2, 1, -2], 3)
-    st_ = cx.stats()
-    assert st_["nnz"] == sum(len(c) for c in cx.columns)
-    assert st_["boundary_cols"] == len(cx.by_h[-1])
-    assert st_["dim"] == len(cx.basis_h)
+    full = lee.FilteredComplex(d, whole=True).stats()
+    assert full["degrees"] == [0, 3] and full["resolutions"] == 8
+    # 3 merges out of h = 0, 6 splits out of h = 1, 3 out of h = 2
+    assert full["dim"] == 30 and full["nnz"] == 3 * 4 + 6 * 4 + 3 * 8
+    d = dg.parse_braid([1, -2, 1, -2], 3)
+    for cx in lee.FilteredComplex(d), lee.FilteredComplex(d, whole=True):
+        st_ = cx.stats()
+        assert st_["nnz"] == sum(len(c) for c in cx.columns)
+        assert st_["boundary_cols"] == len(cx.by_h[-1])
+        assert st_["dim"] == len(cx.basis_h)
 
 
 def test_stats_report_the_cut_without_building_the_differential():
     d = dg.parse_braid(*NP_3S10C_2)
-    cx = lee.FilteredComplex(d, window=lee.S2_WINDOW)
+    cx = lee.FilteredComplex(d)
     cx.s2()
     st_ = cx.stats()
     assert "columns" not in cx.__dict__

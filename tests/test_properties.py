@@ -16,14 +16,15 @@ braid_words = st.lists(
 @given(braid_words)
 def test_homology_dimension_random_braids(word):
     d = dg.parse_braid(word, 3)
-    cx = lee.FilteredComplex(d)
+    cx = lee.FilteredComplex(d, whole=True)
     assert cx.homology_dimension() == 2 ** d.n_components
 
 
 @settings(max_examples=40, deadline=None)
 @given(braid_words)
 def test_d_squared_random_braids(word):
-    assert lee.FilteredComplex(dg.parse_braid(word, 3)).check_d_squared()
+    cx = lee.FilteredComplex(dg.parse_braid(word, 3), whole=True)
+    assert cx.check_d_squared()
 
 
 @settings(max_examples=30, deadline=None)
@@ -67,7 +68,7 @@ def test_verify_suites_all_pass():
 
 def test_fault_injection_detected():
     """A corrupted differential must fail the d-squared check."""
-    cx = lee.FilteredComplex(dg.parse_braid([1, 1, 1], 2))
+    cx = lee.FilteredComplex(dg.parse_braid([1, 1, 1], 2), whole=True)
     col = next(i for i in range(cx.dim) if cx.columns[i])
     row, coeff = cx.columns[col][0]
     cx.columns[col][0] = (row, coeff + 1)
