@@ -63,17 +63,21 @@ def sn_positive(d, n):
         raise ValueError("n must be at least 2")
     if not d.is_positive:
         raise NotPositiveDiagram("diagram has a negative crossing")
-    st = dg.resolution_stats(d)
-    return _exact(n, (1 - n) * (st.c - st.r + 1),
-                  [f"positive diagram: s_n = (1-n)(c-r+1) with c={st.c}, r={st.r}"])
+    return _positive_formula(d, n)
+
+
+def _positive_formula(d, n):
+    """(1-n)(c-r+1) from the crossings and Seifert circles of ``d``."""
+    c, r = d.n_crossings, len(d.seifert_circles)
+    return _exact(n, (1 - n) * (c - r + 1),
+                  [f"positive diagram: s_n = (1-n)(c-r+1) with c={c}, r={r}"])
 
 
 def genus_positive(d):
     """Slice and Seifert genus of a positive diagram, (g3, g4); equal."""
     if not d.is_positive:
         raise NotPositiveDiagram("diagram has a negative crossing")
-    st = dg.resolution_stats(d)
-    num = 2 - (st.r - st.c + st.l)
+    num = 2 - (len(d.seifert_circles) - d.n_crossings + d.n_components)
     if num % 2:
         raise NonIntegerGenus(f"(2-(r-c+l)) = {num} is odd")
     g = num // 2
@@ -115,19 +119,16 @@ def sn_diagram_interval(d, n):
     Changing each negative crossing to positive reaches a positive
     diagram whose s_n is exact; each change moves s_n by at most
     2(n-1), so the value propagates back as an interval.  Positive
-    diagrams come out exact.
+    diagrams come out exact.  A crossing change keeps the oriented
+    resolution, so the positive diagram has the crossings and Seifert
+    circles of ``d`` and is never built.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if d.is_positive:
         return sn_positive(d, n)
-    pos = d
-    m = 0
-    for k, x in enumerate(d.crossings):
-        if x.sign < 0:
-            pos = dg.crossing_change(pos, k)
-            m += 1
-    base = sn_positive(pos, n)
+    m = sum(x.sign < 0 for x in d.crossings)
+    base = _positive_formula(d, n)
     slack = 2 * (n - 1) * m
     trace = base.trace + [
         f"{m} crossing changes from a positive diagram, each within 2(n-1)"]

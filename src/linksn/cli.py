@@ -34,10 +34,10 @@ def _add_common_flags(p):
 
 
 def _parse_n_range(text):
-    parts = text.split("..") if ".." in text else [text, text]
+    a, sep, b = text.partition("..")
     try:
-        a, b = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError):
+        a, b = int(a), int(b if sep else a)
+    except ValueError:
         raise InputError(f"bad n range {text!r}, expected A..B")
     if a < 2 or b < a or b - a >= MAX_N_VALUES:
         raise InputError(f"n range {text!r} must satisfy "
@@ -105,13 +105,12 @@ def _bounds_dict(d, values, source):
 
 
 def _report(d, source, values, bounds, trace):
-    st = dg.resolution_stats(d) if d.n_components else None
     return {
         "input": source,
         "n": sorted(values),
         "s_n": {str(n): _value_dict(v) for n, v in values.items()},
-        "stats": ({"c": st.c, "r": st.r, "w": st.w, "l": st.l}
-                  if st else {"c": 0, "r": 0, "w": 0, "l": 0}),
+        "stats": {"c": d.n_crossings, "r": len(d.seifert_circles),
+                  "w": d.writhe, "l": d.n_components},
         "bounds": bounds,
         "trace": trace,
     }
@@ -142,8 +141,7 @@ def cmd_diagram(args, out):
         report["error"] = "ExplicitEmpty"
         _emit(report, args.json, out)
         return 2
-    n_range = _parse_n_range(args.n)
-    values = _diagram_values(d, n_range)
+    values = _diagram_values(d, args.n)
     bounds = _bounds_dict(d, values, source)
     trace = ([t for v in values.values() for t in v.trace]
              if args.command == "invariant" else [])
@@ -154,7 +152,7 @@ def cmd_diagram(args, out):
 def cmd_eval(args, out):
     with open(args.expr) as fh:
         expr = ca.expr_from_json(fh.read())
-    values = {n: ca.sn_eval(expr, n) for n in _parse_n_range(args.n)}
+    values = {n: ca.sn_eval(expr, n) for n in args.n}
     report = {
         "input": {"expr": args.expr},
         "n": sorted(values),
@@ -190,15 +188,14 @@ def cmd_movie(args, out):
         "end": dg.serialize_pd(ledger.end),
         "surface_components": ledger.k,
         "moves": ledger.kinds,
-        "move_order_ok": bool(order),
+        "move_order_ok": order is None,
         "lemma2": ledger.lemma2_certificate(),
     }
-    if not order:
-        report["move_order_offender"] = order.index
+    if order is not None:
+        report["move_order_offender"] = order
     if not ledger.end.n_crossings and ledger.end.n_components:
-        report["slice_certificates"] = [
-            mv.slice_certificate(ledger, n).to_dict()
-            for n in _parse_n_range(args.n)]
+        report["slice_certificates"] = [mv.slice_certificate(ledger, n)
+                                        for n in args.n]
     if args.json:
         print(json.dumps(report, indent=2), file=out)
     else:
@@ -266,6 +263,8 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "n" in args:
+            args.n = _parse_n_range(args.n)
         return args.func(args, out)
     except (LinkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

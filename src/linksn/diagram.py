@@ -292,24 +292,6 @@ class LinkDiagram:
                 f"{self.n_components} components, w={self.writhe})")
 
 
-@dataclass(frozen=True)
-class ResolutionStats:
-    r: int
-    w: int
-    c: int
-    l: int
-
-
-def resolution_stats(diagram):
-    """Circle count of the oriented resolution plus basic diagram counts."""
-    return ResolutionStats(
-        r=len(diagram.seifert_circles),
-        w=diagram.writhe,
-        c=diagram.n_crossings,
-        l=diagram.n_components,
-    )
-
-
 # -- parsing -----------------------------------------------------------
 
 
@@ -370,17 +352,10 @@ def _infer_sign(b, d):
 
 
 def serialize_pd(diagram):
-    """Canonical PD text; ``parse_pd`` of the result is the same diagram."""
-    return pd_text(diagram.canonical())
-
-
-def pd_text(diagram):
-    """PD text in the diagram's own numbering and crossing order, with a
-    sign tag where the edge ids do not imply the sign.  ``parse_pd`` of
-    it gives back these crossings; it gives back these loops only if
-    they are numbered after every crossing edge, as it numbers ``U``."""
+    """Canonical PD text, with a sign tag where the edge ids do not imply
+    the sign; ``parse_pd`` of the result is the same diagram."""
     toks = []
-    for x in diagram.crossings:
+    for x in diagram.canonical().crossings:
         if _infer_sign(x.b, x.d) == x.sign:
             toks.append(f"X[{x.a},{x.b},{x.c},{x.d}]")
         else:

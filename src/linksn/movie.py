@@ -4,18 +4,24 @@ A movie is a start diagram plus a sequence of Reidemeister moves
 (R1+/R1-/R2/R3) and Morse moves (H0 birth, H1 saddle, H2 death).  We
 never compute the chain-level cobordism maps; validation replays the
 moves combinatorially and records what the inequalities need: Euler
-characteristic, filtered degree (1-n)*chi, the fate of the canonical
-generators, and the move ordering of the genus-bound proof.
+characteristic, the components of the swept surface, the fate of the
+canonical generators, and the move ordering of the genus-bound proof.
 
 One replay generator, ``_replay``, applies the moves and carries a tag
 per edge through saddles, inherited edges and births: ``validate_movie``
 tags edges with the surface sheet they sweep, ``generator_fate`` with a
 generator label.  The move-order check and the slice certificates read
 the ``Ledger`` that ``validate_movie`` returns, so one replay serves a
-whole report.
+whole report.  They return plain values: ``check_lobb_order`` None or
+the index of the first out-of-order move, ``slice_certificate`` the
+dict that ``movie --json`` prints.
 
 Reidemeister kinds are bidirectional: giving ``edges`` inserts the
 pattern, giving ``crossings`` removes it.
+
+A movie file is JSON lines: ``{"start": PD text}``, then one
+``Move.to_dict()`` per move, naming edges and crossings as ``parse_pd``
+numbers the start.
 """
 
 import json
@@ -119,7 +125,10 @@ def _apply(d, m):
 
 def _r1(d, m, info):
     sign = 1 if m.kind == "R1+" else -1
-    if m.edges and not m.crossings:
+    if len(m.edges) + len(m.crossings) != 1:
+        raise InapplicableMove(
+            "R1 takes one edge (insert) or one crossing (remove)")
+    if m.edges:
         (e,) = m.edges
         if e not in d.successor:
             raise InapplicableMove(f"no edge {e} to kink")
@@ -134,33 +143,31 @@ def _r1(d, m, info):
         info["inherit"][f] = e
         info["inherit"][g] = e
         return LinkDiagram(crossings + [x], d.loops)
-    if m.crossings and not m.edges:
-        (k,) = m.crossings
-        if not 0 <= k < d.n_crossings:
-            raise InapplicableMove(f"no crossing {k}")
-        x = d.crossings[k]
-        if x.sign != sign:
-            raise InapplicableMove(f"crossing {k} has the wrong sign for {m.kind}")
-        ins = {x.a, x.over_in}
-        outs = {x.c, x.over_out}
-        loops = ins & outs
-        if not loops:
-            raise InapplicableMove(f"crossing {k} is not a kink")
-        rest = [y for i, y in enumerate(d.crossings) if i != k]
-        if len(loops) == 2:
-            # standalone kinked circle; it becomes a free loop
-            e = min(loops)
-            info["births"].append(e)
-            return LinkDiagram(rest, d.loops + (e,))
-        loop = loops.pop()
-        e_in = (ins - {loop}).pop()
-        e_out = (outs - {loop}).pop()
-        if e_in == e_out:
-            info["births"].append(e_in)
-            return LinkDiagram(rest, d.loops + (e_in,))
-        info["inherit"][e_in] = e_out
-        return LinkDiagram(_rename(rest, e_out, e_in), d.loops)
-    raise InapplicableMove("R1 takes one edge (insert) or one crossing (remove)")
+    (k,) = m.crossings
+    if not 0 <= k < d.n_crossings:
+        raise InapplicableMove(f"no crossing {k}")
+    x = d.crossings[k]
+    if x.sign != sign:
+        raise InapplicableMove(f"crossing {k} has the wrong sign for {m.kind}")
+    ins = {x.a, x.over_in}
+    outs = {x.c, x.over_out}
+    loops = ins & outs
+    if not loops:
+        raise InapplicableMove(f"crossing {k} is not a kink")
+    rest = [y for i, y in enumerate(d.crossings) if i != k]
+    if len(loops) == 2:
+        # standalone kinked circle; it becomes a free loop
+        e = min(loops)
+        info["births"].append(e)
+        return LinkDiagram(rest, d.loops + (e,))
+    loop = loops.pop()
+    e_in = (ins - {loop}).pop()
+    e_out = (outs - {loop}).pop()
+    if e_in == e_out:
+        info["births"].append(e_in)
+        return LinkDiagram(rest, d.loops + (e_in,))
+    info["inherit"][e_in] = e_out
+    return LinkDiagram(_rename(rest, e_out, e_in), d.loops)
 
 
 def _r2(d, m, info):
@@ -350,9 +357,6 @@ class Ledger:
     k: int                       # connected components of the swept surface
     h0_absorbed: bool            # every birth circle later fused in
 
-    def filtered_degree(self, n):
-        return (1 - n) * self.chi
-
     def lemma2_certificate(self):
         """The concordance-inequality instance this movie witnesses.
 
@@ -452,22 +456,13 @@ _PHASES = lambda g: [("O", None), ("R", None), ("U", None),
                      ("I", g), ("U", g), ("RI", None), ("RT", None)]
 
 
-@dataclass
-class OrderCheck:
-    ok: bool
-    index: int = None
-
-    def __bool__(self):
-        return self.ok
-
-
 def check_lobb_order(ledger):
     """Does the replayed move sequence follow the genus-proof phase order?
 
     Phases: 0-handles, Reidemeister moves, fusions, g fissions, g
     fusions, Reidemeister/fission moves, then Reidemeister moves and
-    2-handles.  Returns a truthy record; on failure ``.index`` is the
-    first move that no phase assignment can accept.
+    2-handles.  Returns None if some phase assignment accepts every
+    move, else the index of the first move that none can accept.
     """
     s = ledger.kinds
     best_fail = -1
@@ -488,44 +483,21 @@ def check_lobb_order(ledger):
             if not ok:
                 break
         if ok and pos == len(s):
-            return OrderCheck(True)
+            return None
         best_fail = max(best_fail, pos if pos < len(s) else len(s) - 1)
-    return OrderCheck(False, best_fail)
+    return best_fail
 
 
 # -- slice certificates ----------------------------------------------------------
 
 
-@dataclass
-class SliceCertificate:
-    n: int
-    chi_movie: int
-    chi_surface: int      # chi(F): movie capped with one disk per end circle
-    k: int                # connected components of F
-    end_circles: int
-    lo: int
-    hi: int
-
-    def to_dict(self):
-        return {
-            "theorem": "genus bound for slice surfaces",
-            "n": self.n,
-            "chi_movie": self.chi_movie,
-            "chi_F": self.chi_surface,
-            "k": self.k,
-            "end_circles": self.end_circles,
-            "lo": self.lo,
-            "hi": self.hi,
-            "inequalities": [
-                f"s_{self.n}(L) >= ({self.n}-1)*(chi(F)-1) = {self.lo}",
-                f"({self.n}-1)*(2k-1-chi(F)) = {self.hi} >= s_{self.n}(L)",
-            ],
-        }
-
-
 def slice_certificate(ledger, n):
     """Both genus-bound inequalities instantiated by a replayed movie
-    ending in an unlink: (n-1)(2k-1-chi(F)) >= s_n(L) >= (n-1)(chi(F)-1)."""
+    ending in an unlink: (n-1)(2k-1-chi(F)) >= s_n(L) >= (n-1)(chi(F)-1).
+
+    F is the movie's surface capped with one disk per end circle, and k
+    its number of connected components.  Returns the certificate as the
+    dict ``movie --json`` prints."""
     end = ledger.end
     if end.n_crossings or end.n_components == 0:
         raise NotEndingInUnlink(
@@ -535,34 +507,23 @@ def slice_certificate(ledger, n):
     k = ledger.k
     lo = (n - 1) * (chi_f - 1)
     hi = (n - 1) * (2 * k - 1 - chi_f)
-    return SliceCertificate(n=n, chi_movie=ledger.chi, chi_surface=chi_f,
-                            k=k, end_circles=m_circles, lo=lo, hi=hi)
+    return {
+        "theorem": "genus bound for slice surfaces",
+        "n": n,
+        "chi_movie": ledger.chi,
+        "chi_F": chi_f,
+        "k": k,
+        "end_circles": m_circles,
+        "lo": lo,
+        "hi": hi,
+        "inequalities": [
+            f"s_{n}(L) >= ({n}-1)*(chi(F)-1) = {lo}",
+            f"({n}-1)*(2k-1-chi(F)) = {hi} >= s_{n}(L)",
+        ],
+    }
 
 
 # -- file format -----------------------------------------------------------------
-
-
-def save_movie(movie, path):
-    """Write ``movie`` as JSON lines: the start's PD text, then the moves.
-
-    The moves name the start's own edge ids and crossing indices, so the
-    start is written in its own numbering, not renumbered by
-    ``serialize_pd``.  A start that PD text cannot number so, one whose
-    crossing-free loops are not numbered after its crossing edges, would
-    load back as another movie: it raises InputError, and no file is
-    written."""
-    text = dg.pd_text(movie.start)
-    back = dg.parse_pd(text)
-    if (back.crossings, back.loops) != (movie.start.crossings,
-                                        movie.start.loops):
-        raise InputError(
-            f"cannot save the movie: its start numbers the crossing-free "
-            f"loops {list(movie.start.loops)}, but PD text numbers them "
-            f"{list(back.loops)}, after the crossing edges")
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"start": text}) + "\n")
-        for m in movie.moves:
-            fh.write(json.dumps(m.to_dict()) + "\n")
 
 
 _REQUIRED = object()

@@ -134,13 +134,13 @@ def check_eq41(seed=0):
     failures = []
     n = 0
     for name, cx in _complexes():
-        st = dg.resolution_stats(cx.diagram)
+        w, r = cx.diagram.writhe, len(cx.diagram.seifert_circles)
         for p in (0, 1):
             n += 1
             level = cx.qgr(cx.h_cycle(p))
-            if (level - (2 * p - (st.w + st.r))) % 4:
+            if (level - (2 * p - (w + r))) % 4:
                 failures.append(f"{name}: qgr(h_{p})={level} violates the "
-                                f"mod-4 congruence (w={st.w}, r={st.r})")
+                                f"mod-4 congruence (w={w}, r={r})")
     return n, failures
 
 
@@ -163,8 +163,7 @@ def check_positive_formula(seed=0):
         if not d.is_positive or d.n_crossings == 0:
             continue
         n += 1
-        st = dg.resolution_stats(d)
-        want = -(st.c - st.r + 1)
+        want = -(d.n_crossings - len(d.seifert_circles) + 1)
         got = lee.s2(d)
         if got != want:
             failures.append(f"{name}: s2={got}, positive formula {want}")

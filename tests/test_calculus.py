@@ -142,6 +142,33 @@ def test_diagram_interval():
     v = ca.sn_diagram_interval(fig8, 2)
     assert v.lo <= lee.s2(fig8) <= v.hi
     assert ca.sn_diagram_interval(TREFOIL, 4).value == -6
+    # the reference: change every negative crossing of a built diagram,
+    # then apply the positive formula to it
+    for word, strands in (([1, -2, 1, -2], 3), ([-1, -1, -1], 2),
+                          ([1, -2, -2, 3, -1, -3, 2], 4)):
+        d = dg.parse_braid(word, strands)
+        pos, m = d, 0
+        for k, x in enumerate(d.crossings):
+            if x.sign < 0:
+                pos, m = dg.crossing_change(pos, k), m + 1
+        for n in (2, 3, 5):
+            ref = ca.sn_positive(pos, n)
+            slack = 2 * (n - 1) * m
+            v = ca.sn_diagram_interval(d, n)
+            assert (v.lo, v.hi) == (ref.value - slack, ref.value + slack)
+            assert v.trace == ref.trace + [
+                f"{m} crossing changes from a positive diagram, "
+                f"each within 2(n-1)"]
+
+
+def test_diagram_interval_builds_no_diagram(monkeypatch):
+    # a crossing change keeps the Seifert circles, so c and r come from
+    # the diagram itself
+    def refuse(*args):
+        raise AssertionError("built a crossing-changed diagram")
+    monkeypatch.setattr(dg, "crossing_change", refuse)
+    v = ca.sn_diagram_interval(dg.parse_braid([1, -2, 1, -2], 3), 3)
+    assert (v.lo, v.hi) == (-12, 4)
 
 
 def test_expression_serialization():

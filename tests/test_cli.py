@@ -101,6 +101,21 @@ def test_settable_options():
     }
 
 
+def test_n_range_is_checked_before_any_command(tmp_path, capsys):
+    # a movie that does not end in an unlink prints no certificate, an
+    # empty diagram prints a report of its own, and "2..3..9" is not
+    # "2..3": each still has its --n checked
+    still = tmp_path / "still.jsonl"
+    still.write_text('{"start": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}\n')
+    for argv in (
+            ("movie", "--movie", str(still), "--n", "abc"),
+            ("invariant", "--pd", "", "--n", "abc"),
+            ("invariant", "--braid", "1 1 1", "--strands", "2",
+             "--n", "2..3..9")):
+        assert run_cli(*argv) == (2, ""), argv
+        assert_one_line_error(capsys)
+
+
 def test_n_range_is_bounded(capsys):
     code, report = run_json("invariant", "--torus", "2", "3",
                             "--n", "2..1001")
@@ -145,8 +160,13 @@ def test_movie_command(tmp_path):
         mv.Move("H1", edges=(1, 3)), mv.Move("H1", edges=(2, 4)),
         mv.Move("R1+", crossings=(1,)), mv.Move("R1+", crossings=(0,)),
         mv.Move("R1+", crossings=(0,))])
+    # parse_braid numbers the trefoil as PD text does, so the moves'
+    # edge ids and crossing indices name the same parts of the file's start
+    assert dg.parse_pd(dg.serialize_pd(tref)).crossings == tref.crossings
+    records = [{"start": dg.serialize_pd(tref)}]
+    records += [m.to_dict() for m in movie.moves]
     path = tmp_path / "movie.jsonl"
-    mv.save_movie(movie, path)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
     code, report = run_json("movie", "--movie", str(path))
     assert code == 0
     assert report["chi"] == -2
@@ -295,6 +315,17 @@ def test_movie_names_the_move_of_a_bad_frame(tmp_path, capsys):
         assert run_on_file(tmp_path, "movie", text) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_movie_names_an_r1_move_with_two_edges_or_crossings(tmp_path,
+                                                            capsys):
+    start = '{"start": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}\n'
+    for ids in ('"edges": [1, 2]', '"crossings": [0, 1]'):
+        text = start + '{"kind": "R1+", %s}\n' % ids
+        assert run_on_file(tmp_path, "movie", text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: move 0 (R1+): ") \
+            and err.count("\n") == 1, err
 
 
 def test_invariant_rejects_a_non_planar_pd(capsys):

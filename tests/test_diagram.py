@@ -180,9 +180,13 @@ def test_sublink():
         dg.sublink(t24, [5])
 
 
-def test_resolution_stats():
-    st = dg.resolution_stats(dg.parse_braid([1, 1, 1], 2))
-    assert (st.c, st.r, st.w, st.l) == (3, 2, 3, 1)
+def test_diagram_counts():
+    d = dg.parse_braid([1, 1, 1], 2)
+    assert (d.n_crossings, len(d.seifert_circles), d.writhe,
+            d.n_components) == (3, 2, 3, 1)
+    empty = dg.parse_pd("")
+    assert (empty.n_crossings, len(empty.seifert_circles), empty.writhe,
+            empty.n_components) == (0, 0, 0, 0)
 
 
 def test_canonical_is_stable():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -187,12 +188,6 @@ def test_invalid_move_reports_index():
     with pytest.raises(InapplicableMove) as exc:
         mv.validate_movie(movie)
     assert exc.value.index == 0
-
-
-def test_filtered_degree():
-    ledger = mv.validate_movie(genus1_trefoil_movie())
-    assert ledger.filtered_degree(2) == 2
-    assert ledger.filtered_degree(5) == 8
 
 
 def test_h0_only_movie():
@@ -390,24 +385,22 @@ def test_lobb_order_examples():
                        mv.Move("R1+", edges=(1,)),
                        mv.Move("R1+", crossings=(0,))])
     # O R R U R R: phases 1, 2, 3, 6
-    assert mv.check_lobb_order(mv.validate_movie(seq))
+    assert mv.check_lobb_order(mv.validate_movie(seq)) is None
 
     bad = mv.Movie(TREFOIL, [mv.Move("H1", edges=(1, 3)), mv.Move("H0")])
-    check = mv.check_lobb_order(mv.validate_movie(bad))
-    assert not check
-    assert check.index == 1
+    assert mv.check_lobb_order(mv.validate_movie(bad)) == 1
 
 
 def test_lobb_order_genus1():
-    assert mv.check_lobb_order(mv.validate_movie(genus1_trefoil_movie()))
+    ledger = mv.validate_movie(genus1_trefoil_movie())
+    assert mv.check_lobb_order(ledger) is None
 
 
 def test_lobb_order_rejects_fission_after_death():
     u3 = dg.unlink(3)
     movie = mv.Movie(u3, [mv.Move("H2", edges=(3,)),
                           mv.Move("H1", edges=(1, 1))])
-    check = mv.check_lobb_order(mv.validate_movie(movie))
-    assert not check and check.index == 1
+    assert mv.check_lobb_order(mv.validate_movie(movie)) == 1
 
 
 # -- certificates -----------------------------------------------------------------
@@ -416,13 +409,15 @@ def test_lobb_order_rejects_fission_after_death():
 def test_slice_certificate_trefoil():
     ledger = mv.validate_movie(genus1_trefoil_movie())
     cert = mv.slice_certificate(ledger, 2)
-    assert cert.chi_movie == -2
-    assert cert.chi_surface == -1
-    assert cert.k == 1
-    assert cert.lo == -2 and cert.hi == 2
-    assert cert.lo <= lee.s2(TREFOIL) <= cert.hi
+    assert cert == {
+        "theorem": "genus bound for slice surfaces",
+        "n": 2, "chi_movie": -2, "chi_F": -1, "k": 1, "end_circles": 1,
+        "lo": -2, "hi": 2,
+        "inequalities": ["s_2(L) >= (2-1)*(chi(F)-1) = -2",
+                         "(2-1)*(2k-1-chi(F)) = 2 >= s_2(L)"]}
+    assert cert["lo"] <= lee.s2(TREFOIL) <= cert["hi"]
     cert5 = mv.slice_certificate(ledger, 5)
-    assert cert5.lo == -8 and cert5.hi == 8
+    assert (cert5["lo"], cert5["hi"]) == (-8, 8)
 
 
 def test_slice_certificate_needs_unlink():
@@ -452,51 +447,12 @@ def test_annulus_movie_forces_equality():
 
 def test_movie_file_roundtrip(tmp_path):
     movie = genus1_trefoil_movie()
+    records = [{"start": dg.serialize_pd(movie.start)}]
+    records += [m.to_dict() for m in movie.moves]
     path = tmp_path / "movie.jsonl"
-    mv.save_movie(movie, path)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
     loaded = mv.load_movie(path)
-    assert loaded.start.same_diagram(movie.start)
+    assert loaded.start.crossings == movie.start.crossings
+    assert loaded.moves == movie.moves
     l1, l2 = mv.validate_movie(movie), mv.validate_movie(loaded)
     assert l1.chi == l2.chi and l1.end.same_diagram(l2.end)
-
-
-def test_saved_movie_keeps_the_starts_numbering(tmp_path):
-    # the mirror's crossings are neither in canonical order nor numbered
-    # canonically; every saddle the moves name must still be that saddle
-    start = dg.mirror(TREFOIL)
-    assert start.crossings != start.canonical().crossings
-    path = tmp_path / "movie.jsonl"
-    saved = 0
-    for (a, b), k in itertools.product(
-            itertools.combinations(start.edges, 2), range(3)):
-        movie = mv.Movie(start, [mv.Move("H1", edges=(a, b)),
-                                 mv.Move("R1-", crossings=(k,))])
-        try:
-            ledger = mv.validate_movie(movie)
-        except InapplicableMove:
-            continue
-        mv.save_movie(movie, path)
-        loaded = mv.load_movie(path)
-        assert loaded.start.crossings == start.crossings
-        back = mv.validate_movie(loaded)
-        assert back.chi == ledger.chi
-        assert back.end.crossings == ledger.end.crossings
-        saved += 1
-    assert saved > 0
-
-
-def test_save_movie_refuses_a_start_it_would_renumber(tmp_path):
-    # the loop is edge 1, but PD text numbers a U after the crossing edges
-    start = dg.disjoint_union(dg.unknot(), TREFOIL)
-    assert start.loops == (1,)
-    movie = mv.Movie(start, [mv.Move("H2", edges=(1,))])
-    assert mv.validate_movie(movie).end.same_diagram(TREFOIL)
-    path = tmp_path / "movie.jsonl"
-    with pytest.raises(InputError, match="loops"):
-        mv.save_movie(movie, path)
-    assert not path.exists()
-    # with the loop numbered last, the same movie saves and loads back
-    start = dg.disjoint_union(TREFOIL, dg.unknot())
-    movie = mv.Movie(start, [mv.Move("H2", edges=start.loops)])
-    mv.save_movie(movie, path)
-    assert mv.validate_movie(mv.load_movie(path)).end.same_diagram(TREFOIL)
