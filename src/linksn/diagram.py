@@ -113,7 +113,7 @@ class LinkDiagram:
         drawn on a surface of genus g has c + 2 - 2g faces, so the PD is
         planar exactly when it has c + 2 faces per piece in total.
         """
-        other = [0] * (4 * self.n_crossings)   # slot -> the edge's other end
+        other = self._other_slot
         root = list(range(self.n_crossings))     # crossings joined by edges
 
         def find(j):
@@ -122,13 +122,8 @@ class LinkDiagram:
                 j = root[j]
             return j
 
-        first = {}
-        for s, e in enumerate(e for x in self.crossings for e in x.edges):
-            if e not in first:
-                first[e] = s
-                continue
-            other[s], other[first[e]] = first[e], s
-            root[find(s // 4)] = find(first[e] // 4)
+        for s, s2 in enumerate(other):
+            root[find(s // 4)] = find(s2 // 4)
         pieces = sum(root[j] == j for j in range(self.n_crossings))
         faces = 0
         seen = [False] * len(other)
@@ -211,30 +206,73 @@ class LinkDiagram:
 
     # -- resolutions ---------------------------------------------------
 
-    def circles(self, t_mask):
-        """Circles of the resolution with per-crossing smoothings ``t_mask``.
+    @cached_property
+    def slot_edges(self):
+        """Slot 4j + k is position k of crossing j: the index in ``edges``
+        of the edge in each slot."""
+        index = {e: i for i, e in enumerate(self.edges)}
+        return [index[e] for x in self.crossings for e in x.edges]
+
+    @cached_property
+    def _other_slot(self):
+        """Slot -> the slot at the other end of its edge."""
+        other = [0] * (4 * self.n_crossings)
+        first = {}
+        for s, e in enumerate(e for x in self.crossings for e in x.edges):
+            if e in first:
+                other[s], other[first[e]] = first[e], s
+            else:
+                first[e] = s
+        return other
+
+    @cached_property
+    def _walk(self):
+        """Per edge index, one of its slots (None for a loop); and per
+        smoothing t, the step from slot s: across crossing s // 4 to the
+        slot that ``Crossing.smoothing(t)`` pairs with s, s ^ 1 for t = 0
+        and s ^ 3 for t = 1, then along that slot's edge to its other end."""
+        other = self._other_slot
+        slot_of = [None] * len(self.edges)
+        for s, e in enumerate(self.slot_edges):
+            slot_of[e] = s
+        steps = tuple([other[s ^ flip] for s in range(len(other))]
+                      for flip in (1, 3))
+        return slot_of, steps
+
+    def circle_labels(self, t_mask):
+        """Circles of the resolution with per-crossing smoothings ``t_mask``,
+        as one label per edge.
 
         Bit i of ``t_mask`` picks the smoothing of crossing i; 0 is the
-        oriented smoothing.  Returns a tuple of frozensets of edges,
-        sorted by smallest edge.
+        oriented smoothing.  Entry i of the result is the circle of
+        ``edges[i]``, with circles numbered by their smallest edge.  Each
+        circle is one walk from its smallest unlabeled edge, from slot to
+        slot across the smoothings, until it returns.
         """
-        parent = {e: e for e in self.edges}
+        slot_of, steps = self._walk
+        edge_of = self.slot_edges
+        labels = [-1] * len(slot_of)
+        k = 0
+        for e, start in enumerate(slot_of):
+            if labels[e] >= 0:
+                continue
+            labels[e] = k
+            if start is not None:
+                s = steps[(t_mask >> (start >> 2)) & 1][start]
+                while s != start:
+                    labels[edge_of[s]] = k
+                    s = steps[(t_mask >> (s >> 2)) & 1][s]
+            k += 1
+        return tuple(labels)
 
-        def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        for i, x in enumerate(self.crossings):
-            for u, v in x.smoothing((t_mask >> i) & 1):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        groups = {}
-        for e in self.edges:
-            groups.setdefault(find(e), set()).add(e)
-        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    def circles(self, t_mask):
+        """The circles of ``circle_labels(t_mask)`` as a tuple of
+        frozensets of edges, sorted by smallest edge."""
+        labels = self.circle_labels(t_mask)
+        groups = [[] for _ in range(max(labels, default=-1) + 1)]
+        for e, k in zip(self.edges, labels):
+            groups[k].append(e)
+        return tuple(map(frozenset, groups))
 
     @cached_property
     def oriented_mask(self):

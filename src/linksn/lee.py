@@ -44,8 +44,14 @@ So ``FilteredComplex(diagram)`` builds only the resolutions with
 vectors from the edge maps.  ``FilteredComplex(diagram, whole=True)``
 builds every degree, for the checks of d^2, the q drop and the homology.
 A degree-0 chain is checked to be a cycle on demand, by the edge maps out
-of its own resolutions; the circles of each neighbouring resolution are
-memoized on the complex.  ``dim`` counts the generators built.
+of its own resolutions.  ``dim`` counts the generators built.
+
+A resolution's circles are held as labels, ``LinkDiagram.circle_labels``:
+entry i is the circle of edge i, circles numbered by their smallest edge,
+so a resolution with largest label r - 1 has r circles.  The labels of
+every built resolution, and of each neighbour a cycle check visits, are
+memoized on the complex, and an edge map reads them at the crossing's
+edges and at each source circle's smallest edge.
 
 A build costs the generators it creates, the sum of 2^r over its
 r-circle resolutions, so that count, not the crossing count, is held to
@@ -106,9 +112,9 @@ class FilteredComplex:
     def _build(self):
         d = self.diagram
         lo, hi = self.built
-        # t -> tuple of frozensets, for t built and for the neighbours an
+        # t -> circle_labels(t), for t built and for the neighbours an
         # on-demand cycle check has visited
-        self.circles = {}
+        self.labels = {}
         self.start = {}        # t -> first basis index, for t built
         self.basis_t = []      # per basis element
         self.basis_subset = []
@@ -127,8 +133,8 @@ class FilteredComplex:
         idx = 0
         for t in masks:
             h = t.bit_count() - self.n_minus
-            self.circles[t] = d.circles(t)
-            r = len(self.circles[t])
+            self.labels[t] = labels = d.circle_labels(t)
+            r = _count(labels)
             self.start[t] = idx
             size = 1 << r
             if idx + size > MAX_GENERATORS:
@@ -154,7 +160,7 @@ class FilteredComplex:
         for t, first in self.start.items():
             if t.bit_count() - self.n_minus == hi:
                 continue
-            cols = columns[first:first + (1 << len(self.circles[t]))]
+            cols = columns[first:first + (1 << _count(self.labels[t]))]
             for t2, sign, images in self._edge_maps(t):
                 offset = self.start[t2]
                 for image in images:
@@ -184,10 +190,10 @@ class FilteredComplex:
         for t in self.start:
             if t.bit_count() - self.n_minus == hi:
                 continue
-            r = len(self.circles[t])
+            r = _count(self.labels[t])
             for i in range(self.n):
                 if not (t >> i) & 1:
-                    split = len(self.circles[t | 1 << i]) > r
+                    split = _count(self.labels[t | 1 << i]) > r
                     nnz += 1 << (r + split)
         cuts = self._cuts.values()
         return {
@@ -202,11 +208,11 @@ class FilteredComplex:
             "cut_nnz": sum(cut.nnz for cut in cuts),
         }
 
-    def _circles(self, t):
-        """The circles of resolution t, memoized on the complex."""
-        if t not in self.circles:
-            self.circles[t] = self.diagram.circles(t)
-        return self.circles[t]
+    def _labels(self, t):
+        """The circle labels of resolution t, memoized on the complex."""
+        if t not in self.labels:
+            self.labels[t] = self.diagram.circle_labels(t)
+        return self.labels[t]
 
     def _edge_maps(self, t):
         """The cube edges out of resolution t, as (t2, sign, images).
@@ -218,25 +224,34 @@ class FilteredComplex:
         target circle it lands on.  XOR makes the two merged circles
         multiply (1*1 = x*x = 1, 1*x = x), and for a split it turns the
         two terms of D(1) into those of D(x).
+
+        Circles are read as labels: a source circle lands where the target
+        labels its smallest edge, and t2 smooths crossing i as (a, d),
+        (b, c), so edges a and b lie on one target circle after a merge
+        and on the two circles of a split.
         """
-        src = self._circles(t)
-        for i, x in enumerate(self.diagram.crossings):
+        src = self._labels(t)
+        smallest = []          # the smallest edge of each circle of t
+        for e, k in enumerate(src):
+            if k == len(smallest):
+                smallest.append(e)
+        slot_edges = self.diagram.slot_edges
+        for i in range(self.n):
             if (t >> i) & 1:
                 continue
             t2 = t | (1 << i)
-            dst = self._circles(t2)
-            sign = -1 if bin(t & ((1 << i) - 1)).count("1") % 2 else 1
-            touched = set(x.edges)
-            dst_index = {c: k for k, c in enumerate(dst)}
-            dst_active = [k for k, c in enumerate(dst) if c & touched]
-            # the merged circle, or the second circle of a split; circles
-            # untouched by crossing i are carried across
-            flips = [1 << (dst_active[-1] if c & touched else dst_index[c])
-                     for c in src]
+            dst = self._labels(t2)
+            sign = -1 if (t & ((1 << i) - 1)).bit_count() & 1 else 1
+            a, b = slot_edges[4 * i], slot_edges[4 * i + 1]
+            flips = [1 << dst[e] for e in smallest]
             # the planarity check in __init__ rules out anything but a
             # merge into one circle or a split into two
-            starts = (0,) if len(dst_active) == 1 else (
-                1 << dst_active[0], 1 << dst_active[1])
+            if dst[a] == dst[b]:
+                starts = (0,)
+            else:
+                lo, hi = sorted((dst[a], dst[b]))
+                flips[src[a]] = 1 << hi    # the second circle of the split
+                starts = (1 << lo, 1 << hi)
             images = []
             for first in starts:
                 image = [first]
@@ -384,7 +399,7 @@ class FilteredComplex:
             # subsets s of t's circles whose q = q0 + 2|s| is at least
             # level and in its block
             least = (level - q_of[first] + 1) // 2
-            cols = {s: {} for s in range(1 << len(self.circles[t]))
+            cols = {s: {} for s in range(1 << _count(self.labels[t]))
                     if s.bit_count() >= least
                     and (q_of[first] + 2 * s.bit_count() - level) % 4 == 0}
             if not cols:
@@ -409,20 +424,18 @@ class FilteredComplex:
 
         The Seifert graph of a planar diagram is bipartite; a wrong
         coloring would give a chain that ``_is_cycle`` rejects."""
-        t = self.diagram.oriented_mask
-        circ = self.circles[t]
-        where = {}
-        for k, c in enumerate(circ):
-            for e in c:
-                where[e] = k
-        adj = {k: set() for k in range(len(circ))}
-        for i, x in enumerate(self.diagram.crossings):
-            (u1, _), (u2, _) = x.smoothing((t >> i) & 1)
-            k1, k2 = where[u1], where[u2]
+        labels = self.labels[self.diagram.oriented_mask]
+        slot_edges = self.diagram.slot_edges
+        r = _count(labels)
+        adj = {k: set() for k in range(r)}
+        for i in range(self.n):
+            # the two circles the crossing joins in the Seifert graph
+            ks = {labels[e] for e in slot_edges[4 * i:4 * i + 4]}
+            k1, k2 = min(ks), max(ks)
             adj[k1].add(k2)
             adj[k2].add(k1)
         color = {}
-        for root in range(len(circ)):
+        for root in range(r):
             if root in color:
                 continue
             color[root] = 0
@@ -433,7 +446,7 @@ class FilteredComplex:
                     if k2 not in color:
                         color[k2] = 1 - color[k]
                         stack.append(k2)
-        return [color[k] for k in range(len(circ))]
+        return [color[k] for k in range(r)]
 
     def canonical_cycle(self, label):
         """The canonical cycle g of root label +1 or -1, as a chain.
@@ -483,6 +496,11 @@ class FilteredComplex:
 
     def s2(self):
         return self.qgr(self.canonical_cycle(1)) - 1
+
+
+def _count(labels):
+    """The number of circles of a resolution given as labels."""
+    return max(labels, default=-1) + 1
 
 
 def s2(diagram):

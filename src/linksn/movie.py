@@ -92,6 +92,10 @@ def _apply(d, m):
     ``inherit`` maps new/kept edge -> parent edge, ``births`` lists loop
     edges created, ``spliced`` holds H1 arcs."""
     info = {"inherit": {}, "births": [], "spliced": None}
+    if m.kind == "H0" and (m.edges or m.crossings):
+        raise InapplicableMove("H0 takes no edges and no crossings")
+    if m.kind in ("H1", "H2") and m.crossings:
+        raise InapplicableMove(f"{m.kind} takes edges, not crossings")
     if m.kind in ("R1+", "R1-"):
         d2 = _r1(d, m, info)
     elif m.kind == "R2":

@@ -306,12 +306,23 @@ def test_movie_deeply_nested_record_exits_2(tmp_path, capsys):
 
 
 def test_movie_names_the_move_of_a_bad_frame(tmp_path, capsys):
-    # a frame that is not planar, and a saddle on an edge the frame lacks
+    # a frame that is not planar, a saddle on an edge the frame lacks, a
+    # birth given ids it does not take, and a saddle given a crossing
     for text, prefix in (
             ('{"start": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}\n'
              '{"kind": "R2", "edges": [2, 5]}\n', "error: move 0 (R2): "),
             ('{"start": "U"}\n{"kind": "H1", "edges": [1, 7]}\n',
-             "error: move 0 (H1): ")):
+             "error: move 0 (H1): "),
+            ('{"start": "U"}\n'
+             '{"kind": "H0", "edges": [7], "crossings": [3]}\n',
+             "error: move 0 (H0): "),
+            ('{"start": "U"}\n{"kind": "H0", "edges": [7]}\n',
+             "error: move 0 (H0): "),
+            ('{"start": "U U"}\n{"kind": "H1", "edges": [1, 2], '
+             '"crossings": [0]}\n', "error: move 0 (H1): "),
+            ('{"start": "U"}\n'
+             '{"kind": "H2", "edges": [1], "crossings": [0]}\n',
+             "error: move 0 (H2): ")):
         assert run_on_file(tmp_path, "movie", text) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err

@@ -232,3 +232,55 @@ def test_constructions_stay_planar(b1, b2, data):
     for d in made:
         d.check_planar()
         dg.parse_pd(dg.serialize_pd(d))
+
+
+def reference_circles(d, t_mask):
+    """The circles of a resolution by union-find over edge ids, one
+    frozenset per circle, sorted by smallest edge."""
+    parent = {e: e for e in d.edges}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for i, x in enumerate(d.crossings):
+        for u, v in x.smoothing((t_mask >> i) & 1):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+    groups = {}
+    for e in d.edges:
+        groups.setdefault(find(e), set()).add(e)
+    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+
+
+def assert_circles_match_reference(d):
+    for t in range(1 << d.n_crossings):
+        want = reference_circles(d, t)
+        assert d.circles(t) == want, (d, t)
+        circle_of = {e: k for k, c in enumerate(want) for e in c}
+        assert d.circle_labels(t) == tuple(circle_of[e] for e in d.edges)
+
+
+def test_circles_match_the_union_find_reference():
+    from linksn import verify
+    diagrams = [d for _, d, _ in verify.corpus() if d.n_crossings <= 8]
+    assert any(d.loops and d.crossings for d in diagrams)
+    # kinks, whose smoothings pair an edge with itself, and a loop whose
+    # edge id is smaller than every crossing edge
+    kink = dg.parse_pd("X[2,2,1,1]")
+    diagrams += [kink, dg.mirror(kink), dg.disjoint_union(dg.unknot(), kink),
+                 dg.disjoint_union(dg.unknot(), dg.parse_braid([1, -2, 1], 3))]
+    for d in diagrams:
+        assert_circles_match_reference(d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(braids(), st.integers(0, 2))
+def test_circle_labels_match_the_reference_on_random_braids(braid, loops):
+    d = dg.parse_braid(*braid)
+    if loops:
+        d = dg.disjoint_union(dg.unlink(loops), d)
+    assert_circles_match_reference(d)

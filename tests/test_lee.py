@@ -135,9 +135,9 @@ def test_budget_counts_resolutions_before_any_circle(monkeypatch):
     small = dg.parse_braid([1, -1] * 6, 2)     # 1 716 resolutions in -1..0
     large = dg.parse_braid([1, -1] * 15, 2)    # 300 540 195 resolutions
     calls = []
-    circles = dg.LinkDiagram.circles
-    monkeypatch.setattr(dg.LinkDiagram, "circles",
-                        lambda self, t: calls.append(t) or circles(self, t))
+    labels = dg.LinkDiagram.circle_labels
+    monkeypatch.setattr(dg.LinkDiagram, "circle_labels",
+                        lambda self, t: calls.append(t) or labels(self, t))
     monkeypatch.setattr(lee, "MAX_GENERATORS", 1715)
     with pytest.raises(TooLarge, match="1716 resolutions"):
         lee.s2(small)
@@ -379,9 +379,9 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
 def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
     d = dg.parse_braid([1, -2, 1, -2, 1], 3)
     calls = []
-    circles = d.circles
-    monkeypatch.setattr(d, "circles",
-                        lambda t: calls.append(t) or circles(t))
+    labels = d.circle_labels
+    monkeypatch.setattr(d, "circle_labels",
+                        lambda t: calls.append(t) or labels(t))
     cx = lee.FilteredComplex(d)
     built = len(calls)
     assert built == cx.stats()["resolutions"]
@@ -424,7 +424,7 @@ def reference_columns(cx):
             if (t >> i) & 1:
                 continue
             t2 = t | 1 << i
-            src, dst = cx.circles[t], cx.circles[t2]
+            src, dst = cx.diagram.circles(t), cx.diagram.circles(t2)
             sign = (-1) ** bin(t & ((1 << i) - 1)).count("1")
             src_active = [k for k, c in enumerate(src) if c & set(x.edges)]
             dst_active = [k for k, c in enumerate(dst) if c & set(x.edges)]
@@ -452,7 +452,7 @@ def test_doubled_edge_maps_match_the_per_subset_reference(braid):
     cx = complex_for(*braid)
     assert cx.columns == reference_columns(cx)
     assert cx.basis_q == [
-        2 * bin(s).count("1") - len(cx.circles[t]) - cx.writhe - h
+        2 * bin(s).count("1") - (max(cx.labels[t]) + 1) - cx.writhe - h
         for t, s, h in zip(cx.basis_t, cx.basis_subset, cx.basis_h)]
     assert cx.basis_h == [bin(t).count("1") - cx.n_minus
                           for t in cx.basis_t]
