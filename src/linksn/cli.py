@@ -4,9 +4,17 @@ Commands: ``invariant`` (s_n of a diagram), ``bounds`` (genus and
 splitting bounds), ``eval`` (expression files), ``movie`` (cobordism
 certificates), ``verify`` (self-check suites).  Exit codes: 0 success,
 1 verification failure, 2 input error.
+
+Each command takes the parsed arguments and returns ``(code, report,
+lines)``: its exit code, its JSON report and its text output, one
+string per line.  ``main`` prints the report under ``--json`` and the
+lines otherwise, in one place.  The parser is built once per process,
+on first use, since callers such as the benchmark harness call ``main``
+many times in one process.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -55,17 +63,24 @@ def _diagram_from_args(args):
     if args.braid is not None:
         if not args.strands:
             raise InputError("--braid needs --strands")
-        word = [int(w) for w in args.braid.replace(",", " ").split()]
+        try:
+            word = [int(w) for w in args.braid.replace(",", " ").split()]
+        except ValueError:
+            raise InputError(f"bad --braid {args.braid!r}, expected "
+                             f"integers such as '1 -2 1'")
         return dg.parse_braid(word, args.strands), \
             {"braid": word, "strands": args.strands}
     p, q = args.torus
     return dg.torus_link(p, q), {"torus": [p, q]}
 
 
-def _value_dict(v):
-    if v.exact:
-        return {"exact": v.lo}
-    return {"lo": v.lo, "hi": v.hi}
+def _sn_block(values):
+    """The ``n`` and ``s_n`` fields of a report on ``values``, n ->
+    SnValue.  The text line of a value is its ``repr``."""
+    return {"n": sorted(values),
+            "s_n": {str(n): {"exact": v.lo} if v.exact
+                    else {"lo": v.lo, "hi": v.hi}
+                    for n, v in values.items()}}
 
 
 def _diagram_values(d, n_range):
@@ -104,84 +119,52 @@ def _bounds_dict(d, values, source):
     return bounds
 
 
-def _report(d, source, values, bounds, trace):
-    return {
-        "input": source,
-        "n": sorted(values),
-        "s_n": {str(n): _value_dict(v) for n, v in values.items()},
-        "stats": {"c": d.n_crossings, "r": len(d.seifert_circles),
-                  "w": d.writhe, "l": d.n_components},
-        "bounds": bounds,
-        "trace": trace,
-    }
-
-
-def _emit(report, as_json, out):
-    if as_json:
-        print(json.dumps(report, indent=2), file=out)
-        return
-    st = report["stats"]
-    print(f"c={st['c']}  r={st['r']}  w={st['w']}  l={st['l']}", file=out)
-    for n in report["n"]:
-        v = report["s_n"][str(n)]
-        shown = v.get("exact") if "exact" in v else f"[{v['lo']}, {v['hi']}]"
-        print(f"s_{n} = {shown}", file=out)
-    for key, val in report["bounds"].items():
-        print(f"{key} = {val}", file=out)
-    for line in report["trace"]:
-        print(f"  # {line}", file=out)
-
-
-def cmd_diagram(args, out):
+def cmd_diagram(args):
     """``invariant`` and ``bounds``: the same report, but only
-    ``invariant`` fills in the trace."""
+    ``invariant`` fills in the trace.  The empty link gets a report of
+    its own and exit code 2."""
     d, source = _diagram_from_args(args)
-    if d.n_components == 0:
-        report = _report(d, source, {}, {}, [])
-        report["error"] = "ExplicitEmpty"
-        _emit(report, args.json, out)
-        return 2
-    values = _diagram_values(d, args.n)
-    bounds = _bounds_dict(d, values, source)
+    empty = d.n_components == 0
+    values = {} if empty else _diagram_values(d, args.n)
+    bounds = {} if empty else _bounds_dict(d, values, source)
     trace = ([t for v in values.values() for t in v.trace]
              if args.command == "invariant" else [])
-    _emit(_report(d, source, values, bounds, trace), args.json, out)
-    return 0
+    stats = {"c": d.n_crossings, "r": len(d.seifert_circles),
+             "w": d.writhe, "l": d.n_components}
+    report = {"input": source, **_sn_block(values), "stats": stats,
+              "bounds": bounds, "trace": trace}
+    lines = ["  ".join(f"{k}={v}" for k, v in stats.items()),
+             *map(repr, values.values()),
+             *(f"{key} = {val}" for key, val in bounds.items()),
+             *(f"  # {t}" for t in trace)]
+    if empty:
+        report["error"] = "ExplicitEmpty"
+    return (2 if empty else 0), report, lines
 
 
-def cmd_eval(args, out):
+def cmd_eval(args):
     with open(args.expr) as fh:
         expr = ca.expr_from_json(fh.read())
     values = {n: ca.sn_eval(expr, n) for n in args.n}
-    report = {
-        "input": {"expr": args.expr},
-        "n": sorted(values),
-        "s_n": {str(n): _value_dict(v) for n, v in values.items()},
-        "trace": {str(n): v.trace for n, v in values.items()},
-    }
+    report = {"input": {"expr": args.expr}, **_sn_block(values),
+              "trace": {str(n): v.trace for n, v in values.items()}}
+    lines = [line for v in values.values()
+             for line in (repr(v), *(f"  # {t}" for t in v.trace))]
     if 2 in values and not values[2].exact:
         try:
-            refined = ca.refine_with_engine(expr)
-            report["engine_refinement"] = {"n": 2, "exact": refined.value}
+            refined = ca.refine_with_engine(expr).value
+            report["engine_refinement"] = {"n": 2, "exact": refined}
+            lines.append(f"engine refinement: s_2 = {refined}")
         except LinkError:
             pass
-    if args.json:
-        print(json.dumps(report, indent=2), file=out)
-    else:
-        for n in sorted(values):
-            print(repr(values[n]), file=out)
-            for line in values[n].trace:
-                print(f"  # {line}", file=out)
-        if "engine_refinement" in report:
-            print(f"engine refinement: s_2 = "
-                  f"{report['engine_refinement']['exact']}", file=out)
-    return 0
+    return 0, report, lines
 
 
-def cmd_movie(args, out):
+def cmd_movie(args):
     movie = mv.load_movie(args.movie)
     ledger = mv.validate_movie(movie)
     order = mv.check_lobb_order(ledger)
+    lemma2 = ledger.lemma2_certificate()
     report = {
         "input": {"movie": args.movie},
         "chi": ledger.chi,
@@ -189,41 +172,33 @@ def cmd_movie(args, out):
         "surface_components": ledger.k,
         "moves": ledger.kinds,
         "move_order_ok": order is None,
-        "lemma2": ledger.lemma2_certificate(),
+        "lemma2": lemma2,
     }
     if order is not None:
         report["move_order_offender"] = order
+    lines = [f"chi = {ledger.chi}   end = {report['end']}   k = {ledger.k}",
+             f"phases: {' '.join(ledger.kinds) or '(empty)'}   "
+             f"ordered: {order is None}",
+             f"certificate: {lemma2['inequality']}"
+             f" (applies: {lemma2['applies']})"]
     if not ledger.end.n_crossings and ledger.end.n_components:
-        report["slice_certificates"] = [mv.slice_certificate(ledger, n)
-                                        for n in args.n]
-    if args.json:
-        print(json.dumps(report, indent=2), file=out)
-    else:
-        print(f"chi = {ledger.chi}   end = {report['end']}   "
-              f"k = {ledger.k}", file=out)
-        print(f"phases: {' '.join(ledger.kinds) or '(empty)'}   "
-              f"ordered: {report['move_order_ok']}", file=out)
-        print(f"certificate: {report['lemma2']['inequality']}"
-              f" (applies: {report['lemma2']['applies']})", file=out)
-        for cert in report.get("slice_certificates", []):
-            for ineq in cert["inequalities"]:
-                print(f"  {ineq}", file=out)
-    return 0
+        certs = [mv.slice_certificate(ledger, n) for n in args.n]
+        report["slice_certificates"] = certs
+        lines += [f"  {ineq}" for c in certs for ineq in c["inequalities"]]
+    return 0, report, lines
 
 
-def cmd_verify(args, out):
+def cmd_verify(args):
     report = verify.run(properties=args.property or None, seed=args.seed)
-    if args.json:
-        print(json.dumps(report, indent=2), file=out)
-    else:
-        for name, res in report["results"].items():
-            mark = "ok" if not res["failures"] else "FAIL"
-            print(f"{name}: {res['checks']} checks  {mark}", file=out)
-            for f in res["failures"]:
-                print(f"    {f}", file=out)
-    return 0 if report["ok"] else 1
+    lines = []
+    for name, res in report["results"].items():
+        mark = "ok" if not res["failures"] else "FAIL"
+        lines.append(f"{name}: {res['checks']} checks  {mark}")
+        lines += [f"    {f}" for f in res["failures"]]
+    return (0 if report["ok"] else 1), report, lines
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="linksn",
@@ -259,16 +234,17 @@ def build_parser():
 
 
 def main(argv=None, out=None):
-    out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if "n" in args:
             args.n = _parse_n_range(args.n)
-        return args.func(args, out)
+        code, report, lines = args.func(args)
+        print(json.dumps(report, indent=2) if args.json else "\n".join(lines),
+              file=out or sys.stdout)
     except (LinkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

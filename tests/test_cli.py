@@ -75,6 +75,8 @@ def test_bad_inputs_exit_2(capsys):
     assert run_cli("invariant", "--pd", "U", "--torus", "2", "3")[0] == 2
     assert run_cli("eval", "--expr", "/nonexistent.json")[0] == 2
     capsys.readouterr()
+    assert run_cli("invariant", "--braid", "1 x", "--strands", "2")[0] == 2
+    assert "--braid '1 x'" in assert_one_line_error(capsys)
     # too large: 16 crossings alternating in sign hold 16 873 748
     # generators in degrees -1..0
     assert run_cli("invariant", "--braid", " ".join(["1 -1"] * 8),
@@ -99,6 +101,22 @@ def test_settable_options():
         "movie": {"--movie", "--n", "--json"},
         "verify": {"--property", "--seed", "--json"},
     }
+
+
+def test_two_calls_build_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli("bounds", "--torus", "2", "3")[0] == 0
+    once = len(built)
+    assert run_cli("bounds", "--torus", "2", "3")[0] == 0
+    # the top parser and its five subparsers
+    assert once == len(built) == 6
 
 
 def test_n_range_is_checked_before_any_command(tmp_path, capsys):
@@ -196,11 +214,13 @@ def test_recorded_reports_unchanged(monkeypatch):
     code was reworked: ``invariant`` and ``bounds`` on a torus link and a
     braid, from when each had its own handler, and ``movie`` and ``eval``
     on the files in tests/data, from when each movie was replayed
-    2 + |n| times and each expression node wrote its own JSON."""
+    2 + |n| times and each expression node wrote its own JSON.  The same
+    argv lists without ``--json``, and ``verify --seed 0``, pin the text
+    output from when each command printed its own text."""
     monkeypatch.chdir(ROOT)
     cases = json.loads((DATA / "cli_reports.json").read_text())
     assert {c["argv"][0] for c in cases} == {"invariant", "bounds", "movie",
-                                             "eval"}
+                                             "eval", "verify"}
     for case in cases:
         assert run_cli(*case["argv"]) == (0, case["stdout"])
 
@@ -240,6 +260,7 @@ def run_on_file(tmp_path, command, text):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_eval_rejects_a_top_level_list(tmp_path, capsys):
