@@ -8,7 +8,8 @@ certificates), ``verify`` (self-check suites).  Exit codes: 0 success,
 Each command takes the parsed arguments and returns ``(code, report,
 lines)``: its exit code, its JSON report and its text output, one
 string per line.  ``main`` prints the report under ``--json`` and the
-lines otherwise, in one place.  The parser is built once per process,
+lines otherwise, in one place; a reader that has closed the output
+leaves the exit code as it was.  The parser is built once per process,
 on first use, since callers such as the benchmark harness call ``main``
 many times in one process.
 """
@@ -16,6 +17,7 @@ many times in one process.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import calculus as ca
@@ -239,11 +241,18 @@ def main(argv=None, out=None):
         if "n" in args:
             args.n = _parse_n_range(args.n)
         code, report, lines = args.func(args)
-        print(json.dumps(report, indent=2) if args.json else "\n".join(lines),
-              file=out or sys.stdout)
     except (LinkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = out or sys.stdout
+    try:
+        print(json.dumps(report, indent=2) if args.json else "\n".join(lines),
+              file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader has gone: point the output at devnull so that the flush
+        # at exit does not fail again, as the Python signal docs show
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return code
 
 

@@ -125,8 +125,9 @@ class FilteredComplex:
         # every resolution holds at least one generator
         resolutions = sum(math.comb(self.n, k) for k in popcounts)
         if resolutions > MAX_GENERATORS:
-            raise TooLarge(f"{resolutions} resolutions in degrees {lo}..{hi} "
-                           f"exceed the budget of {MAX_GENERATORS} generators")
+            raise TooLarge(f"{_printable(resolutions)} resolutions in "
+                           f"degrees {lo}..{hi} exceed the budget of "
+                           f"{MAX_GENERATORS} generators")
         # the resolutions built in ascending t, the order of the basis
         masks = sorted(sum(1 << i for i in ones) for k in popcounts
                        for ones in itertools.combinations(range(self.n), k))
@@ -138,8 +139,9 @@ class FilteredComplex:
             self.start[t] = idx
             size = 1 << r
             if idx + size > MAX_GENERATORS:
-                raise TooLarge(f"at least {idx + size} generators in degrees "
-                               f"{lo}..{hi} exceed the budget of {MAX_GENERATORS}")
+                raise TooLarge(f"{_printable(idx + size, 'at least ')} "
+                               f"generators in degrees {lo}..{hi} exceed "
+                               f"the budget of {MAX_GENERATORS}")
             self.basis_t.extend([t] * size)
             self.basis_subset.extend(range(size))
             self.basis_h.extend([h] * size)
@@ -496,6 +498,14 @@ class FilteredComplex:
 
     def s2(self):
         return self.qgr(self.canonical_cycle(1)) - 1
+
+
+def _printable(n, prefix=""):
+    """``prefix`` and ``n``, or past 20 digits "at least 2^k" with 2^k <= n:
+    Python refuses to turn an int of over 4300 digits into a string."""
+    if n < 10 ** 20:
+        return f"{prefix}{n}"
+    return f"at least 2^{n.bit_length() - 1}"
 
 
 def _count(labels):

@@ -246,6 +246,8 @@ def _r2(d, m, info):
 
 
 def _r3(d, m, info):
+    if m.edges:
+        raise InapplicableMove("R3 takes crossings, not edges")
     if len(m.crossings) != 3:
         raise InapplicableMove("R3 needs the three crossings of the triangle")
     for k in m.crossings:

@@ -1,11 +1,17 @@
 """Self-check suites: a small corpus of links with known invariants and
 the structural properties every filtered complex must satisfy.
 
-Each property function returns (checks_passed, failures); ``run`` drives
-any subset of them and produces a summary report.  Randomized checks
-take an explicit seed so reruns are reproducible.
+A suite is a generator ``checks(rng)`` that yields one value per check:
+``True`` if the check passed, its failure message if not.  The decorator
+``_suite(name)`` registers it in ``PROPERTIES``, in definition order, as
+``suite(seed=0) -> (checks, failures)``: the number of checks run and
+the failure messages.  ``rng`` is ``random.Random(seed)``, so the
+randomized suites rerun the same checks for the same seed.  ``run``
+drives any subset of the suites and produces a summary report.
 """
 
+import functools
+import itertools
 import random
 
 from . import calculus as ca
@@ -53,161 +59,135 @@ def _complexes(whole=False):
         yield name, lee.FilteredComplex(d, whole=whole)
 
 
-def check_known_values(seed=0):
-    failures = []
-    n = 0
+PROPERTIES = {}   # suite name -> suite(seed=0), in definition order
+
+
+def _suite(name):
+    """Registers the generator ``checks(rng)`` as the suite ``name``,
+    driven as the module docstring describes."""
+    def register(checks):
+        @functools.wraps(checks)
+        def suite(seed=0):
+            results = list(checks(random.Random(seed)))
+            return len(results), [r for r in results if r is not True]
+        PROPERTIES[name] = suite
+        return suite
+    return register
+
+
+@_suite("known-values")
+def check_known_values(rng):
     for name, d, expected in corpus():
-        if expected is None:
-            continue
-        n += 1
-        got = lee.s2(d)
-        if got != expected:
-            failures.append(f"{name}: s2 = {got}, expected {expected}")
-    return n, failures
+        if expected is not None:
+            got = lee.s2(d)
+            yield got == expected or f"{name}: s2 = {got}, expected {expected}"
 
 
-def check_d_squared(seed=0):
-    failures = []
-    n = 0
+@_suite("d-squared")
+def check_d_squared(rng):
     for name, cx in _complexes(whole=True):
-        n += 1
-        if not cx.check_d_squared():
-            failures.append(f"{name}: d^2 != 0")
-    return n, failures
+        yield cx.check_d_squared() or f"{name}: d^2 != 0"
 
 
-def check_filtration_drop(seed=0):
-    """Every differential matrix entry drops q by exactly 0 or 4."""
-    failures = []
-    n = 0
+@_suite("filtration-drop")
+def check_filtration_drop(rng):
+    """Every differential matrix entry drops q by exactly 0 or 4: one
+    check per complex, whose failure lists its bad entries."""
     for name, cx in _complexes(whole=True):
-        n += 1
-        for col in range(cx.dim):
-            for row, _ in cx.columns[col]:
-                drop = cx.basis_q[col] - cx.basis_q[row]
-                if drop not in (0, 4):
-                    failures.append(f"{name}: q drop {drop} at entry "
-                                    f"({row}, {col})")
-    return n, failures
+        drops = ((cx.basis_q[col] - cx.basis_q[row], row, col)
+                 for col in range(cx.dim) for row, _ in cx.columns[col])
+        bad = [f"q drop {drop} at entry ({row}, {col})"
+               for drop, row, col in drops if drop not in (0, 4)]
+        yield not bad or f"{name}: " + ", ".join(bad)
 
 
-def check_homology_dimension(seed=0):
-    failures = []
-    n = 0
+@_suite("homology-dimension")
+def check_homology_dimension(rng):
     for name, cx in _complexes(whole=True):
-        n += 1
         want = 2 ** cx.diagram.n_components
         got = cx.homology_dimension()
-        if got != want:
-            failures.append(f"{name}: homology dimension {got} != {want}")
-    return n, failures
+        yield got == want or f"{name}: homology dimension {got} != {want}"
 
 
-def check_label_independence(seed=0):
+@_suite("label-independence")
+def check_label_independence(rng):
     """qgr of the canonical cycle is the same for both root labels."""
-    failures = []
-    n = 0
     for name, cx in _complexes():
-        n += 1
         g_plus = cx.qgr(cx.canonical_cycle(1))
         g_minus = cx.qgr(cx.canonical_cycle(-1))
-        if g_plus != g_minus:
-            failures.append(f"{name}: qgr {g_plus} (label +1) != {g_minus}")
-    return n, failures
+        yield (g_plus == g_minus
+               or f"{name}: qgr {g_plus} (label +1) != {g_minus}")
 
 
-def check_max_identity(seed=0):
+@_suite("max-identity")
+def check_max_identity(rng):
     """qgr of the canonical cycle equals the max over its parity pieces."""
-    failures = []
-    n = 0
     for name, cx in _complexes():
-        n += 1
         g = cx.qgr(cx.canonical_cycle(1))
         parts = [cx.qgr(cx.h_cycle(p)) for p in (0, 1)]
-        if g != max(parts):
-            failures.append(f"{name}: qgr(g)={g} but parts {parts}")
-    return n, failures
+        yield g == max(parts) or f"{name}: qgr(g)={g} but parts {parts}"
 
 
-def check_eq41(seed=0):
+@_suite("eq4.1")
+def check_eq41(rng):
     """qgr(h_p) = 2p + (1-n)(w + r) mod 2n at n = 2."""
-    failures = []
-    n = 0
     for name, cx in _complexes():
         w, r = cx.diagram.writhe, len(cx.diagram.seifert_circles)
         for p in (0, 1):
-            n += 1
             level = cx.qgr(cx.h_cycle(p))
-            if (level - (2 * p - (w + r))) % 4:
-                failures.append(f"{name}: qgr(h_{p})={level} violates the "
-                                f"mod-4 congruence (w={w}, r={r})")
-    return n, failures
+            yield ((level - (2 * p - (w + r))) % 4 == 0
+                   or f"{name}: qgr(h_{p})={level} violates the mod-4 "
+                      f"congruence (w={w}, r={r})")
 
 
-def check_low_generator(seed=0):
-    failures = []
-    n = 0
+@_suite("low-generator")
+def check_low_generator(rng):
     for name, cx in _complexes():
-        n += 1
         _, _, level = cx.low_generator()
         g = cx.qgr(cx.canonical_cycle(1))
-        if level > g:
-            failures.append(f"{name}: low generator level {level} > qgr(g)={g}")
-    return n, failures
+        yield (level <= g
+               or f"{name}: low generator level {level} > qgr(g)={g}")
 
 
-def check_positive_formula(seed=0):
-    failures = []
-    n = 0
+@_suite("positive-formula")
+def check_positive_formula(rng):
     for name, d, _ in corpus():
-        if not d.is_positive or d.n_crossings == 0:
-            continue
-        n += 1
-        want = -(d.n_crossings - len(d.seifert_circles) + 1)
-        got = lee.s2(d)
-        if got != want:
-            failures.append(f"{name}: s2={got}, positive formula {want}")
-    return n, failures
+        if d.is_positive and d.n_crossings:
+            want = -(d.n_crossings - len(d.seifert_circles) + 1)
+            got = lee.s2(d)
+            yield got == want or f"{name}: s2={got}, positive formula {want}"
 
 
-def check_crossing_change(seed=0):
+@_suite("crossing-change")
+def check_crossing_change(rng):
     """|delta s2| <= 2 over every single crossing change, with at least
-    one tight instance."""
-    failures = []
-    n = 0
+    one tight instance (a check counted only when it fails)."""
     tight = False
     for name, d, _ in corpus():
         if d.n_crossings == 0:
             continue
         base = lee.s2(d)
         for k in range(d.n_crossings):
-            n += 1
-            changed = lee.s2(dg.crossing_change(d, k))
-            if abs(changed - base) > 2:
-                failures.append(f"{name}: crossing {k} moved s2 by "
-                                f"{changed - base}")
-            if abs(changed - base) == 2:
-                tight = True
+            delta = lee.s2(dg.crossing_change(d, k)) - base
+            tight = tight or abs(delta) == 2
+            yield (abs(delta) <= 2
+                   or f"{name}: crossing {k} moved s2 by {delta}")
     if not tight:
-        failures.append("no tight crossing-change instance observed")
-    return n, failures
+        yield "no tight crossing-change instance observed"
 
 
-def check_reidemeister(seed=0):
+@_suite("reidemeister")
+def check_reidemeister(rng):
     """s2 is unchanged by R1/R2 insertions at random locations."""
-    rng = random.Random(seed)
-    failures = []
-    n = 0
     for name, d, _ in corpus():
         if d.n_components == 0:
             continue
         base = lee.s2(d)
         for kind in ("R1+", "R1-"):
-            n += 1
             e = rng.choice(d.edges)
             d2 = mv.apply_move(d, mv.Move(kind, edges=(e,)))
-            if lee.s2(d2) != base:
-                failures.append(f"{name}: {kind} at edge {e} changed s2")
+            yield (lee.s2(d2) == base
+                   or f"{name}: {kind} at edge {e} changed s2")
         # R2 needs adjacent arcs; try random pairs until one is planar
         pairs = [(a, b) for a in d.edges for b in d.edges if a != b]
         rng.shuffle(pairs)
@@ -217,11 +197,8 @@ def check_reidemeister(seed=0):
                 d2.check_planar()
             except InconsistentDiagram:
                 continue
-            n += 1
-            if lee.s2(d2) != base:
-                failures.append(f"{name}: R2 at ({a}, {b}) changed s2")
+            yield lee.s2(d2) == base or f"{name}: R2 at ({a}, {b}) changed s2"
             break
-    return n, failures
 
 
 def _random_expr(rng, depth):
@@ -248,58 +225,38 @@ def _random_expr(rng, depth):
     return ca.ConnectSum(child, _random_expr(rng, 0))
 
 
-def check_interval_soundness(seed=0):
-    """The engine's exact n=2 value lies in 20 random calculus intervals."""
-    rng = random.Random(seed)
-    failures = []
-    n = 0
-    while n < 20:
+def _realizable_exprs(rng):
+    """Random calculus expressions with a nonempty realization, each with
+    its diagram."""
+    while True:
         expr = _random_expr(rng, rng.randint(1, 3))
         try:
             d = expr.realize()
         except LinkError:
             continue
-        if d.n_components == 0:
-            continue
-        n += 1
+        if d.n_components:
+            yield expr, d
+
+
+@_suite("interval-soundness")
+def check_interval_soundness(rng):
+    """The engine's exact n=2 value lies in 20 random calculus intervals."""
+    for expr, d in itertools.islice(_realizable_exprs(rng), 20):
         v = ca.sn_eval(expr, 2)
         exact = lee.s2(d)
-        if not v.lo <= exact <= v.hi:
-            failures.append(f"engine {exact} outside [{v.lo}, {v.hi}] for "
-                            f"{ca.expr_to_json(expr)}")
-    return n, failures
+        yield (v.lo <= exact <= v.hi
+               or f"engine {exact} outside [{v.lo}, {v.hi}] for "
+                  f"{ca.expr_to_json(expr)}")
 
 
-def check_unlink_values(seed=0):
-    failures = []
-    n = 0
+@_suite("unlink-values")
+def check_unlink_values(rng):
     for m in range(1, 6):
-        n += 1
-        if lee.s2(dg.unlink(m)) != m - 1:
-            failures.append(f"s2(U_{m}) != {m - 1}")
+        yield lee.s2(dg.unlink(m)) == m - 1 or f"s2(U_{m}) != {m - 1}"
         for nn in range(2, 7):
-            n += 1
             v = ca.sn_eval(ca.StronglySliceLink(m), nn)
-            if v.value != (nn - 1) * (m - 1):
-                failures.append(f"s_{nn}(U_{m}) != {(nn - 1) * (m - 1)}")
-    return n, failures
-
-
-PROPERTIES = {
-    "known-values": check_known_values,
-    "d-squared": check_d_squared,
-    "filtration-drop": check_filtration_drop,
-    "homology-dimension": check_homology_dimension,
-    "label-independence": check_label_independence,
-    "max-identity": check_max_identity,
-    "eq4.1": check_eq41,
-    "low-generator": check_low_generator,
-    "positive-formula": check_positive_formula,
-    "crossing-change": check_crossing_change,
-    "reidemeister": check_reidemeister,
-    "interval-soundness": check_interval_soundness,
-    "unlink-values": check_unlink_values,
-}
+            want = (nn - 1) * (m - 1)
+            yield v.value == want or f"s_{nn}(U_{m}) != {want}"
 
 
 def run(properties=None, seed=0):

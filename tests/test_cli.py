@@ -1,6 +1,8 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,6 +84,14 @@ def test_bad_inputs_exit_2(capsys):
     assert run_cli("invariant", "--braid", " ".join(["1 -1"] * 8),
                    "--strands", "2")[0] == 2
     assert_one_line_error(capsys)
+    # counts of thousands of digits: 2^100000 generators in the one
+    # resolution of 100 000 strands, C(20000, 10000) resolutions in
+    # degree 0 of 20 000 crossings alternating in sign
+    for word, strands in ("1", "100000"), (" ".join(["1 -1"] * 10000), "2"):
+        assert run_cli("invariant", "--braid", word,
+                       "--strands", strands)[0] == 2
+        err = assert_one_line_error(capsys)
+        assert len(err) < 200 and "budget" in err and "2^" in err, err
     # not too large: 20 positive crossings hold 4
     code, report = run_json("invariant", "--torus", "2", "20")
     assert code == 0 and report["s_n"]["2"] == {"exact": -19}
@@ -236,6 +246,21 @@ def test_recorded_verify_reports_unchanged():
         assert run_cli(*case["argv"]) == (0, case["stdout"])
 
 
+def test_a_closed_stdout_keeps_the_exit_code():
+    # the read end of the pipe is closed before the command prints
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linksn.cli", "movie", "--movie",
+             str(DATA / "trefoil_genus1_movie.jsonl"), "--json"],
+            stdout=write, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_movie_command_applies_each_move_once(monkeypatch):
     applied = []
     apply = mv._apply
@@ -328,7 +353,8 @@ def test_movie_deeply_nested_record_exits_2(tmp_path, capsys):
 
 def test_movie_names_the_move_of_a_bad_frame(tmp_path, capsys):
     # a frame that is not planar, a saddle on an edge the frame lacks, a
-    # birth given ids it does not take, and a saddle given a crossing
+    # birth given ids it does not take, a saddle given a crossing, and an
+    # R3 given an edge
     for text, prefix in (
             ('{"start": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}\n'
              '{"kind": "R2", "edges": [2, 5]}\n', "error: move 0 (R2): "),
@@ -343,7 +369,11 @@ def test_movie_names_the_move_of_a_bad_frame(tmp_path, capsys):
              '"crossings": [0]}\n', "error: move 0 (H1): "),
             ('{"start": "U"}\n'
              '{"kind": "H2", "edges": [1], "crossings": [0]}\n',
-             "error: move 0 (H2): ")):
+             "error: move 0 (H2): "),
+            ('{"start": "X[3,10,4,9] X[5,3,6,2] X[6,9,1,8] X[7,2,8,1] '
+             'X[10,5,7,4]"}\n'
+             '{"kind": "R3", "edges": [99], "crossings": [1, 3, 4]}\n',
+             "error: move 0 (R3): ")):
         assert run_on_file(tmp_path, "movie", text) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err

@@ -77,3 +77,40 @@ def test_fault_injection_detected():
     # restore to keep the cached object unusable by accident
     cx.columns[col][0] = (row, coeff)
     assert not ok_after_injection
+
+
+def test_known_values_fails_once_per_known_value(monkeypatch):
+    monkeypatch.setattr(lee, "s2", lambda d: 99)
+    known = [(name, v) for name, _, v in verify.corpus() if v is not None]
+    checks, failures = verify.check_known_values()
+    assert checks == len(known)
+    assert failures == [f"{name}: s2 = 99, expected {v}" for name, v in known]
+
+
+def test_crossing_change_without_a_tight_instance_fails(monkeypatch):
+    # no crossing change moves a constant s2, so none is tight
+    monkeypatch.setattr(lee, "s2", lambda d: 0)
+    crossings = sum(d.n_crossings for _, d, _ in verify.corpus())
+    checks, failures = verify.check_crossing_change()
+    assert failures == ["no tight crossing-change instance observed"]
+    assert checks == crossings + 1
+
+
+def test_filtration_drop_names_the_bad_entry(monkeypatch):
+    complexes = verify._complexes
+    bad = []
+
+    def corrupted(whole=False):
+        for name, cx in complexes(whole):
+            if name == "trefoil":
+                col = next(i for i in range(cx.dim) if cx.columns[i])
+                row = next(r for r in range(cx.dim)
+                           if cx.basis_q[col] - cx.basis_q[r] not in (0, 4))
+                cx.columns[col].append((row, 1))
+                drop = cx.basis_q[col] - cx.basis_q[row]
+                bad.append(f"trefoil: q drop {drop} at entry ({row}, {col})")
+            yield name, cx
+    monkeypatch.setattr(verify, "_complexes", corrupted)
+    checks, failures = verify.check_filtration_drop()
+    assert checks == len(verify.corpus())
+    assert failures == bad and len(bad) == 1
