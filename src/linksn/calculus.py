@@ -63,6 +63,8 @@ def sn_positive(d, n):
         raise ValueError("n must be at least 2")
     if not d.is_positive:
         raise NotPositiveDiagram("diagram has a negative crossing")
+    if not d.n_components:
+        raise ValueError("s_n of the empty link is undefined")
     return _positive_formula(d, n)
 
 
@@ -241,6 +243,10 @@ class Unknot(LinkExpr):
 class StronglySliceLink(LinkExpr):
     l: int
 
+    def __post_init__(self):
+        if self.l < 1:
+            raise InputError("a strongly slice link needs l >= 1 components")
+
     def components(self):
         return self.l
 
@@ -259,6 +265,8 @@ class KnownValue(LinkExpr):
     def __post_init__(self):
         if not self.provenance:
             raise InexactInput("known values must carry a provenance string")
+        if self.n < 2 or self.l < 1:
+            raise InputError("a known value needs n >= 2 and l >= 1")
 
     def components(self):
         return self.l

@@ -584,11 +584,43 @@ def connect_sum(d1, i1, d2, i2):
     return splice_edges(union, e1, e2)
 
 
+def erase_crossings(diagram, gone):
+    """(crossings, loops) of the diagram without the crossings at the
+    indices listed in ``gone``, each strand rejoined across them.
+
+    One walk per component: a run of edges from one remaining crossing to
+    the next keeps the id of its first edge.  A component left with no
+    crossing becomes a crossing-free loop that keeps the id of its edge
+    into the first crossing of ``gone`` it passes (the smaller id if it
+    passes that crossing twice), and the diagram's loops stay.  Every id
+    that survives stays on its component.
+    """
+    rank = {e: (i, e) for i, k in enumerate(gone)
+            for e in (diagram.crossings[k].a, diagram.crossings[k].over_in)}
+    gone = set(gone)
+    kept = [x for k, x in enumerate(diagram.crossings) if k not in gone]
+    starts = {e for x in kept for e in (x.c, x.over_out)}
+    run = {}
+    loops = []
+    for comp in diagram.components:
+        # the run through the component's first edge starts at its last start
+        head = next((e for e in reversed(comp) if e in starts), None)
+        if head is None:
+            loops.append(min(comp, key=rank.get))
+            continue
+        for e in comp:
+            if e in starts:
+                head = e
+            run[e] = head
+    return [Crossing(run[x.a], run[x.b], run[x.c], run[x.d], x.sign)
+            for x in kept], loops
+
+
 def sublink(diagram, keep):
     """The diagram of the components with indices in ``keep``.
 
-    Crossings of a kept strand with a discarded one are erased and the
-    kept strand is rejoined across the gap; kept components that lose
+    Every crossing that touches a discarded component is erased and the
+    kept strands are rejoined across the gaps; kept components that lose
     all their crossings become free loops.
     """
     keep = set(keep)
@@ -596,36 +628,11 @@ def sublink(diagram, keep):
         if not 0 <= i < diagram.n_components:
             raise IndexOutOfRange(f"no component {i}")
     comp = diagram.edge_component
-    kept = []
-    rename = {}
-
-    def canon(e):
-        seen = set()
-        while e in rename and e not in seen:
-            seen.add(e)
-            e = rename[e]
-        return min(seen | {e}) if e in seen else e
-
-    for x in diagram.crossings:
-        under_kept = comp[x.a] in keep
-        over_kept = comp[x.over_in] in keep
-        if under_kept and over_kept:
-            kept.append(x)
-        else:
-            if under_kept:
-                rename[x.c] = x.a
-            if over_kept:
-                rename[x.over_out] = x.over_in
-    crossings = [Crossing(canon(x.a), canon(x.b), canon(x.c), canon(x.d),
-                          x.sign) for x in kept]
-    used = {e for x in crossings for e in x.edges}
-    loops = []
-    for i in sorted(keep):
-        rep = canon(diagram.components[i][0])
-        if rep not in used and all(canon(e) not in used
-                                   for e in diagram.components[i]):
-            loops.append(rep)
-    return LinkDiagram(crossings, loops).canonical()
+    crossings, loops = erase_crossings(diagram, [
+        k for k, x in enumerate(diagram.crossings)
+        if comp[x.a] not in keep or comp[x.over_in] not in keep])
+    return LinkDiagram(crossings, [e for e in loops if comp[e] in keep]
+                       ).canonical()
 
 
 def unlink(m):

@@ -8,9 +8,11 @@ characteristic, the components of the swept surface, the fate of the
 canonical generators, and the move ordering of the genus-bound proof.
 
 One replay generator, ``_replay``, applies the moves and carries a tag
-per edge through saddles, inherited edges and births: ``validate_movie``
+per edge through saddles, inserted edges and births: ``validate_movie``
 tags edges with the surface sheet they sweep, ``generator_fate`` with a
-generator label.  The move-order check and the slice certificates read
+generator label.  A removal (``diagram.erase_crossings``) keeps the id
+and the component of every edge that survives it, so only insertions
+report new edges, and ``births`` holds the circles of H0 moves only.  The move-order check and the slice certificates read
 the ``Ledger`` that ``validate_movie`` returns, so one replay serves a
 whole report.  They return plain values: ``check_lobb_order`` None or
 the index of the first out-of-order move, ``slice_certificate`` the
@@ -79,18 +81,22 @@ def _fresh(d, count):
     return [base + i + 1 for i in range(count)]
 
 
-def _rename(crossings, old, new):
-    out = []
-    for x in crossings:
-        e = [x.a, x.b, x.c, x.d]
-        out.append(Crossing(*(new if v == old else v for v in e), x.sign))
-    return out
+def _cut(crossings, loops, e, f):
+    """Cut edge ``e`` open to insert crossings into it.  Returns the
+    crossings and loops without ``e``'s head, and the id of the edge that
+    must now run into it: ``e`` itself if it is a loop, which then closes
+    on itself, else ``f``, which takes over the crossing ``e`` entered."""
+    if e in loops:
+        return crossings, tuple(x for x in loops if x != e), e
+    return tuple(_swap_incoming(x, e, f) for x in crossings), loops, f
 
 
 def _apply(d, m):
     """Returns (new diagram, info) where info records edge genealogy:
-    ``inherit`` maps new/kept edge -> parent edge, ``births`` lists loop
-    edges created, ``spliced`` holds H1 arcs."""
+    ``inherit`` maps each new edge to the edge it grew from, ``births``
+    lists the circle an H0 creates, ``spliced`` holds H1 arcs.  A removal
+    reports nothing: every edge that survives it keeps its id and its
+    component."""
     info = {"inherit": {}, "births": [], "spliced": None}
     if m.kind == "H0" and (m.edges or m.crossings):
         raise InapplicableMove("H0 takes no edges and no crossings")
@@ -137,41 +143,19 @@ def _r1(d, m, info):
         if e not in d.successor:
             raise InapplicableMove(f"no edge {e} to kink")
         f, g = _fresh(d, 2)
-        if e in d.loops:
-            x = Crossing(e, e, g, g, 1) if sign > 0 else Crossing(e, g, g, e, -1)
-            info["inherit"][g] = e
-            return LinkDiagram(d.crossings + (x,),
-                               tuple(x for x in d.loops if x != e))
-        crossings = [_swap_incoming(x, e, f) for x in d.crossings]
+        crossings, loops, f = _cut(d.crossings, d.loops, e, f)
         x = Crossing(e, f, g, g, 1) if sign > 0 else Crossing(e, g, g, f, -1)
-        info["inherit"][f] = e
-        info["inherit"][g] = e
-        return LinkDiagram(crossings + [x], d.loops)
+        info["inherit"].update(dict.fromkeys((f, g), e))
+        return LinkDiagram(crossings + (x,), loops)
     (k,) = m.crossings
     if not 0 <= k < d.n_crossings:
         raise InapplicableMove(f"no crossing {k}")
     x = d.crossings[k]
     if x.sign != sign:
         raise InapplicableMove(f"crossing {k} has the wrong sign for {m.kind}")
-    ins = {x.a, x.over_in}
-    outs = {x.c, x.over_out}
-    loops = ins & outs
-    if not loops:
+    if not {x.a, x.over_in} & {x.c, x.over_out}:
         raise InapplicableMove(f"crossing {k} is not a kink")
-    rest = [y for i, y in enumerate(d.crossings) if i != k]
-    if len(loops) == 2:
-        # standalone kinked circle; it becomes a free loop
-        e = min(loops)
-        info["births"].append(e)
-        return LinkDiagram(rest, d.loops + (e,))
-    loop = loops.pop()
-    e_in = (ins - {loop}).pop()
-    e_out = (outs - {loop}).pop()
-    if e_in == e_out:
-        info["births"].append(e_in)
-        return LinkDiagram(rest, d.loops + (e_in,))
-    info["inherit"][e_in] = e_out
-    return LinkDiagram(_rename(rest, e_out, e_in), d.loops)
+    return LinkDiagram(*dg.erase_crossings(d, [k]))
 
 
 def _r2(d, m, info):
@@ -183,26 +167,13 @@ def _r2(d, m, info):
             if e not in d.successor:
                 raise InapplicableMove(f"no edge {e}")
         m_a, m_b, f_a, f_b = _fresh(d, 4)
-        crossings = list(d.crossings)
-        loops = list(d.loops)
-        if e_a in d.loops:
-            loops.remove(e_a)
-            f_a = e_a
-        else:
-            crossings = [_swap_incoming(x, e_a, f_a) for x in crossings]
-            info["inherit"][f_a] = e_a
-        if e_b in d.loops:
-            loops.remove(e_b)
-            f_b = e_b
-        else:
-            crossings = [_swap_incoming(x, e_b, f_b) for x in crossings]
-            info["inherit"][f_b] = e_b
-        info["inherit"][m_a] = e_a
-        info["inherit"][m_b] = e_b
+        crossings, loops, f_a = _cut(d.crossings, d.loops, e_a, f_a)
+        crossings, loops, f_b = _cut(crossings, loops, e_b, f_b)
+        info["inherit"].update({f_a: e_a, f_b: e_b, m_a: e_a, m_b: e_b})
         # strand A passes over strand B twice, with cancelling signs
         x1 = Crossing(e_b, m_a, m_b, e_a, 1)
         x2 = Crossing(m_b, m_a, f_b, f_a, -1)
-        return LinkDiagram(crossings + [x1, x2], loops)
+        return LinkDiagram(crossings + (x1, x2), loops)
     if m.crossings and not m.edges:
         if len(m.crossings) != 2:
             raise InapplicableMove("R2 removal needs two crossings")
@@ -215,33 +186,15 @@ def _r2(d, m, info):
         x1, x2 = d.crossings[k1], d.crossings[k2]
         if x1.sign + x2.sign != 0:
             raise InapplicableMove("R2 removal needs cancelling signs")
-        # a bigon: one strand over at both crossings, one under at both,
-        # with both middle edges running from the same crossing to the other
-        joins = None
-        for p, q in ((x1, x2), (x2, x1)):
-            if p.over_out != q.over_in:
-                continue
-            if p.c == q.a and p.c != p.over_out:
-                # parallel strands: both pass p first
-                joins = ((p.over_in, q.over_out), (p.a, q.c))
-                break
-            if q.c == p.a and q.c != p.over_out:
-                # anti-parallel: the under-strand passes q first
-                joins = ((p.over_in, q.over_out), (q.a, p.c))
-                break
-        if joins is None:
+        # a bigon: the over-strand runs from p to q, and the under-strand
+        # from p to q (parallel) or from q to p (anti-parallel)
+        bigons = [(p, q) for p, q in ((k1, k2), (k2, k1))
+                  if d.crossings[p].over_out == d.crossings[q].over_in]
+        if not bigons or not (x1.c == x2.a or x2.c == x1.a):
             raise InapplicableMove("crossings do not bound an R2 bigon")
-        rest = [y for i, y in enumerate(d.crossings) if i not in (k1, k2)]
-        loops = list(d.loops)
-        # reconnect each strand across the deleted bigon
-        for e_in, e_out in joins:
-            if e_in == e_out:
-                info["births"].append(e_in)
-                loops.append(e_in)
-            else:
-                info["inherit"][e_in] = e_out
-                rest = _rename(rest, e_out, e_in)
-        return LinkDiagram(rest, loops)
+        # listing p first names a strand left as a free circle by its
+        # edge into the bigon
+        return LinkDiagram(*dg.erase_crossings(d, bigons[0]))
     raise InapplicableMove("R2 takes two edges (insert) or two crossings (remove)")
 
 
@@ -297,6 +250,10 @@ def _r3(d, m, info):
         # strand now enters `second` from outside and exits `first`
         new_ends.setdefault(second, {})[lvl_s] = (e_in, mid)
         new_ends.setdefault(first, {})[lvl_f] = (mid, e_out)
+    for k, ends in new_ends.items():
+        if len(ends) != 2:
+            raise InapplicableMove(
+                f"both triangle edges at crossing {k} lie on one strand level")
 
     crossings = list(d.crossings)
     for k in (k1, k2, k3):
@@ -323,8 +280,8 @@ def _replay(movie, tag, born):
 
     ``tag`` maps every edge of the start diagram to a tag and is updated
     in place: after a saddle every edge of the joined components carries
-    the first arc's tag, an inherited edge takes its parent's tag, and a
-    birth circle without a tag gets ``born(move)``.  Yields (move, the
+    the first arc's tag, an inserted edge takes the tag of the edge it
+    grew from, and an H0 circle without a tag gets ``born(move)``.  Yields (move, the
     diagram before it, the diagram after it, the pair of tags the saddle
     joined or None).  An inapplicable move, one on an unknown edge, or one
     that leaves a frame that is not planar raises InapplicableMove with its

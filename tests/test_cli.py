@@ -69,7 +69,7 @@ def test_invariant_interval_for_nonpositive():
     assert report["trace"]
 
 
-def test_bad_inputs_exit_2(capsys):
+def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run_cli("invariant", "--pd", "X[1,2,3]")[0] == 2
     assert run_cli("invariant", "--braid", "5", "--strands", "2")[0] == 2
     assert run_cli("invariant", "--braid", "1", "--strands", "2",
@@ -95,6 +95,17 @@ def test_bad_inputs_exit_2(capsys):
     # not too large: 20 positive crossings hold 4
     code, report = run_json("invariant", "--torus", "2", "20")
     assert code == 0 and report["s_n"]["2"] == {"exact": -19}
+    # expression leaves that describe no link
+    for leaf in ({"type": "StronglySliceLink", "l": 0},
+                 {"type": "KnownValue", "n": 2, "value": 0, "l": 0,
+                  "provenance": "p"},
+                 {"type": "KnownValue", "n": 1, "value": 0, "l": 1,
+                  "provenance": "p"},
+                 {"type": "PositiveDiagram", "pd": ""},
+                 {"type": "EngineDiagram", "pd": ""}):
+        text = json.dumps({"type": "Mirror", "child": leaf})
+        assert run_on_file(tmp_path, "eval", text) == 2, leaf
+        assert_one_line_error(capsys)
 
 
 def test_settable_options():
@@ -353,8 +364,8 @@ def test_movie_deeply_nested_record_exits_2(tmp_path, capsys):
 
 def test_movie_names_the_move_of_a_bad_frame(tmp_path, capsys):
     # a frame that is not planar, a saddle on an edge the frame lacks, a
-    # birth given ids it does not take, a saddle given a crossing, and an
-    # R3 given an edge
+    # birth given ids it does not take, a saddle given a crossing, an R3
+    # given an edge, and an R3 whose edges miss a strand level
     for text, prefix in (
             ('{"start": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}\n'
              '{"kind": "R2", "edges": [2, 5]}\n', "error: move 0 (R2): "),
@@ -373,10 +384,34 @@ def test_movie_names_the_move_of_a_bad_frame(tmp_path, capsys):
             ('{"start": "X[3,10,4,9] X[5,3,6,2] X[6,9,1,8] X[7,2,8,1] '
              'X[10,5,7,4]"}\n'
              '{"kind": "R3", "edges": [99], "crossings": [1, 3, 4]}\n',
-             "error: move 0 (R3): ")):
+             "error: move 0 (R3): "),
+            # a "triangle" whose two edges at crossing 3 are both under
+            ('{"start": "X[3,10,4,9] X[5,3,6,2] X[6,9,1,8] X[7,2,8,1] '
+             'X[10,5,7,4]"}\n{"kind": "R1-", "edges": [8]}\n'
+             '{"kind": "R3", "crossings": [1, 3, 2]}\n',
+             "error: move 1 (R3): ")):
         assert run_on_file(tmp_path, "movie", text) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_r2_removal_keeps_the_link(tmp_path):
+    # the unknot, kinked twice, then the two kinks' crossings removed as
+    # one bigon: the bigon {3, 4} is a face, so the movie is legal
+    text = ('{"start": "U"}\n{"kind": "R1-", "edges": [1]}\n'
+            '{"kind": "R1+", "edges": [3]}\n'
+            '{"kind": "R2", "crossings": [1, 0]}\n')
+    (tmp_path / "m.jsonl").write_text(text)
+    code, report = run_json("movie", "--movie", str(tmp_path / "m.jsonl"))
+    assert code == 0 and report["end"] == "U"
+    # three kinks; the first two bound an anti-parallel bigon, and the
+    # strand runs straight from one to the other
+    text = ('{"start": "U"}\n{"kind": "R1+", "edges": [1]}\n'
+            '{"kind": "R1-", "edges": [3]}\n{"kind": "R1+", "edges": [5]}\n'
+            '{"kind": "R2", "crossings": [0, 1]}\n')
+    (tmp_path / "m.jsonl").write_text(text)
+    code, report = run_json("movie", "--movie", str(tmp_path / "m.jsonl"))
+    assert code == 0 and report["end"] == "Xp[1,1,2,2]"
 
 
 def test_movie_names_an_r1_move_with_two_edges_or_crossings(tmp_path,

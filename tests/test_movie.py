@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from linksn.errors import (
     NotEndingInUnlink,
 )
 
+DATA = Path(__file__).resolve().parent / "data"
 TREFOIL = dg.parse_braid([1, 1, 1], 2)
 HOPF = dg.parse_braid([1, 1], 2)
 
@@ -85,6 +87,13 @@ def test_r2_insert_remove_roundtrip():
     assert lee.s2(d) == -2
     back = mv.apply_move(d, mv.Move("R2", crossings=(3, 4)))
     assert back.same_diagram(TREFOIL)
+    # edge 1 passes over a new circle 7 and back: the removal restores
+    # every id, whichever order its crossings are listed in
+    d = mv.apply_move(mv.apply_move(TREFOIL, mv.Move("H0")),
+                      mv.Move("R2", edges=(1, 7)))
+    for ks in ((3, 4), (4, 3)):
+        back = mv.apply_move(d, mv.Move("R2", crossings=ks))
+        assert (back.crossings, back.loops) == (TREFOIL.crossings, (7,))
     # edges 2 and 5 bound a common face, but only the order (5, 2) puts
     # the bigon inside it; (2, 5) leaves 5 faces for 5 crossings, and
     # neither replay nor the engine take that frame
@@ -119,6 +128,36 @@ def test_r2_on_unlink():
     assert lee.s2(d) == 1
     back = mv.apply_move(d, mv.Move("R2", crossings=(0, 1)))
     assert back.same_diagram(dg.unlink(2))
+
+
+def test_r2_removes_an_anti_parallel_bigon():
+    # one strand: over x1 then x0 (edge 4 between), under x0 then x1
+    # (edge 3 between), then through the kink x2
+    d = dg.LinkDiagram([dg.Crossing(1, 1, 3, 4, 1), dg.Crossing(3, 6, 5, 4, -1),
+                        dg.Crossing(5, 6, 7, 7, 1)])
+    d2 = mv.apply_move(d, mv.Move("R2", crossings=(0, 1)))
+    # the run 6, 4, 1, 3, 5 from x2 back to x2 keeps its first edge's id
+    assert d2.crossings == (dg.Crossing(6, 6, 7, 7, 1),) and d2.loops == ()
+    # two circles: A over B twice, then B over a third circle C between
+    # them, so that only B's arc from x1 back to x0 bounds the bigon
+    d = dg.unlink(3)
+    for m in (mv.Move("R2", edges=(1, 2)), mv.Move("R2", edges=(3, 5))):
+        d = mv.apply_move(d, m)
+    d2 = mv.apply_move(d, mv.Move("R2", crossings=(0, 1)))
+    d2.check_planar()
+    # A keeps the id of its edge into x0; B's run 9, 2, 5 keeps 9
+    assert d2.crossings == (dg.Crossing(9, 6, 7, 3, 1),
+                            dg.Crossing(7, 6, 9, 3, -1))
+    assert d2.loops == (1,)
+    assert lee.s2(d2) == lee.s2(d) == 2
+
+
+def test_r2_removal_keeps_a_strand_that_meets_only_the_bigon():
+    # a kink of each sign on the unknot; their crossings bound the bigon
+    # {3, 4}, and the one strand through both becomes a free circle
+    d = kinked_unknot("R1-", "R1+")
+    d2 = mv.apply_move(d, mv.Move("R2", crossings=(1, 0)))
+    assert d2.same_diagram(dg.unknot())
 
 
 def test_r2_rejects_non_bigon():
@@ -324,19 +363,19 @@ STARTS = [TREFOIL, HOPF, dg.unknot(), dg.unlink(3),
           dg.parse_braid([1, -2, 1, -2], 3), dg.parse_braid([1, 2, 1, 2, 2], 3)]
 
 
-def draw_move(data, d):
-    """A move of any kind on the edges and crossings of ``d``; it may not
-    apply."""
+def draw_move(data, d, kinds=tuple(sorted(mv.CHI))):
+    """A move of one of ``kinds`` on the edges and crossings of ``d``; it
+    may not apply."""
     if not d.edges:
         return mv.Move("H0")
-    kind = data.draw(st.sampled_from(sorted(mv.CHI)))
+    kind = data.draw(st.sampled_from(kinds))
     size = {"R1+": 1, "R1-": 1, "R2": 2, "R3": 3, "H0": 0, "H1": 2, "H2": 1}
     count = size[kind]
     n = d.n_crossings
     if kind == "R3" or (kind[0] == "R" and n and data.draw(st.booleans())):
         # insertions append their crossings, so the last ones often bound
         # a kink or a bigon
-        last = st.just(list(range(max(n - count, 0), n)))
+        last = st.permutations(range(max(n - count, 0), n))
         crossings = st.lists(st.integers(0, max(n - 1, 0)), min_size=count,
                              max_size=count, unique=n >= count)
         return mv.Move(kind, crossings=data.draw(last | crossings))
@@ -371,6 +410,59 @@ def test_replay_matches_the_reference_loops(data):
     birth = data.draw(signs)
     assert mv.generator_fate(movie, labeling, birth) == reference_fate(
         movie, labeling, birth)
+
+
+def kinked_unknot(*kinds):
+    """The unknot with a kink of each of ``kinds`` in a row along it."""
+    d = dg.unknot()
+    for kind in kinds:
+        d = mv.apply_move(d, mv.Move(kind, edges=(max(d.edges),)))
+    return d
+
+
+KINKS = [kinked_unknot("R1+"), kinked_unknot("R1-"),
+         kinked_unknot("R1-", "R1+"), kinked_unknot("R1+", "R1-")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reidemeister_moves_keep_the_component_count(data):
+    d = data.draw(st.sampled_from(STARTS + KINKS))
+    for _ in range(data.draw(st.integers(1, 6))):
+        m = draw_move(data, d, ("R1+", "R1-", "R2", "R3"))
+        try:
+            d2 = mv.apply_move(d, m)
+            d2.check_planar()
+        except (InapplicableMove, InputError):
+            continue
+        assert d2.n_components == d.n_components, (d.crossings, d.loops, m)
+        d = d2
+
+
+def frame(d):
+    return [[[x.a, x.b, x.c, x.d, x.sign] for x in d.crossings],
+            sorted(d.loops)]
+
+
+def test_recorded_replays_keep_their_edge_ids():
+    """Random movies over ``STARTS`` with the frames, ledgers and
+    generator fates recorded from the replay that R1 and R2 removal had
+    before they shared ``diagram.erase_crossings``.  The frames pin every
+    edge id, which later moves name."""
+    records = json.loads((DATA / "move_replays.json").read_text())
+    assert len(records) == 100
+    for rec in records:
+        crossings, loops = rec["start"]
+        start = dg.LinkDiagram([dg.Crossing(*x) for x in crossings], loops)
+        movie = mv.Movie(start, [mv.Move(**m) for m in rec["moves"]])
+        ledger = mv.validate_movie(movie)
+        assert [frame(f) for f in ledger.frames] == rec["frames"]
+        assert {"chi": ledger.chi, "kinds": ledger.kinds, "k": ledger.k,
+                "h0_absorbed": ledger.h0_absorbed} == rec["ledger"]
+        for fate in rec["fates"]:
+            survives, end = mv.generator_fate(movie, fate["labeling"],
+                                              fate["birth_label"])
+            assert [survives, list(end)] == [fate["survives"], fate["end"]]
 
 
 # -- ordering ------------------------------------------------------------------
