@@ -26,10 +26,11 @@ q of its leading term is that part's filtration level; if not, the level
 lies below L and the next cut is 4 lower.  A cycle's level is the higher
 of its parts' levels.  The pivots above a cut are those of the full
 elimination, so the answer is the same, but no cut reads a row or a
-boundary below it or outside its block (the clearing idea of Chen and
-Kerber 2011, and of Bauer, Kerber and Reininghaus 2014: skip the work
-that cannot change the answer).  The deepest cut tried in each block is
-cached on the complex and shared by every question asked of it.
+boundary below it or outside its block, and it skips the sources that
+degree -2 boundaries show to reduce to zero (``_cleared``: one level of
+the clearing of Chen and Kerber 2011, with no degree -2 reduction).
+The deepest cut tried in each block is cached on the complex and shared
+by every question asked of it.
 
 The canonical chain g (Lee; Rasmussen, math/0402131) is built in one
 place, ``canonical_cycle``: a product over the Seifert circles at the
@@ -81,6 +82,7 @@ class Cut:
     level: int                  # the lowest q of a degree-0 row kept
     echelon: object             # linalg.Echelon over the kept rows
     nnz: int                    # nonzeros of the vectors eliminated
+    cleared: int                # sources skipped, see _cleared
 
 
 class FilteredComplex:
@@ -184,9 +186,9 @@ class FilteredComplex:
         edge out of an r-circle resolution has 2^r terms if it merges and
         2^(r+1) if it splits.  ``cut`` lists the levels of the cached
         ``qgr`` cuts, at most one per q mod 4 block, highest first;
-        ``cuts_tried`` counts the echelons built so far, and ``pivots``
-        and ``cut_nnz`` the cached cuts' rank and the nonzeros of the
-        vectors they eliminated."""
+        ``cuts_tried`` counts the echelons built so far, ``pivots`` and
+        ``cut_nnz`` the cached cuts' rank and the nonzeros of the vectors
+        they eliminated, and ``cleared`` the sources they skipped."""
         hi = self.built[1]
         nnz = 0
         for t in self.start:
@@ -208,59 +210,24 @@ class FilteredComplex:
             "cuts_tried": self._cuts_tried,
             "pivots": sum(cut.echelon.rank for cut in cuts),
             "cut_nnz": sum(cut.nnz for cut in cuts),
+            "cleared": sum(cut.cleared for cut in cuts),
         }
 
-    def _labels(self, t):
-        """The circle labels of resolution t, memoized on the complex."""
-        if t not in self.labels:
-            self.labels[t] = self.diagram.circle_labels(t)
-        return self.labels[t]
-
     def _edge_maps(self, t):
-        """The cube edges out of resolution t, as (t2, sign, images).
-
-        Each image list holds, for every subset s of t's circles, the
-        subset of t2's circles that one term of the edge map sends s to;
-        a merge has one term, a split two.  A list is built by doubling,
-        once per source circle: that circle's bit flips the bit of the
-        target circle it lands on.  XOR makes the two merged circles
-        multiply (1*1 = x*x = 1, 1*x = x), and for a split it turns the
-        two terms of D(1) into those of D(x).
-
-        Circles are read as labels: a source circle lands where the target
-        labels its smallest edge, and t2 smooths crossing i as (a, d),
-        (b, c), so edges a and b lie on one target circle after a merge
-        and on the two circles of a split.
-        """
-        src = self._labels(t)
-        smallest = []          # the smallest edge of each circle of t
-        for e, k in enumerate(src):
-            if k == len(smallest):
-                smallest.append(e)
+        """The cube edges out of built resolution t, as (t2, sign, images),
+        with the images of ``_edge_map``.  Target labels are memoized."""
+        labels = self.labels
+        src = labels[t]
+        smallest = _smallest(src)
         slot_edges = self.diagram.slot_edges
         for i in range(self.n):
-            if (t >> i) & 1:
-                continue
-            t2 = t | (1 << i)
-            dst = self._labels(t2)
-            sign = -1 if (t & ((1 << i) - 1)).bit_count() & 1 else 1
-            a, b = slot_edges[4 * i], slot_edges[4 * i + 1]
-            flips = [1 << dst[e] for e in smallest]
-            # the planarity check in __init__ rules out anything but a
-            # merge into one circle or a split into two
-            if dst[a] == dst[b]:
-                starts = (0,)
-            else:
-                lo, hi = sorted((dst[a], dst[b]))
-                flips[src[a]] = 1 << hi    # the second circle of the split
-                starts = (1 << lo, 1 << hi)
-            images = []
-            for first in starts:
-                image = [first]
-                for m in flips:
-                    image += [out ^ m for out in image]
-                images.append(image)
-            yield t2, sign, images
+            if not (t >> i) & 1:
+                t2 = t | (1 << i)
+                if t2 not in labels:
+                    labels[t2] = self.diagram.circle_labels(t2)
+                sign = -1 if (t & ((1 << i) - 1)).bit_count() & 1 else 1
+                yield t2, sign, _edge_map(slot_edges, src, smallest, i,
+                                          labels[t2])
 
     # -- chain-level helpers ----------------------------------------------
 
@@ -389,21 +356,20 @@ class FilteredComplex:
         descending index leaves 3-9x fewer echelon nonzeros than
         ascending.  A source's images lie at its own q and 4 below, so a
         source below the cut or in the other block projects to zero and
-        is never made.  The vectors are assembled from the edge maps, in
-        index order, one resolution at a time.
+        is never made, nor is one that ``_cleared`` names.  The vectors
+        are assembled from the edge maps, in index order, one resolution
+        at a time.
         """
         q_of, dim = self.basis_q, self.dim
+        cleared = self._cleared(level)
         ech = linalg.Echelon()
         nnz = 0
         for t, first in self.start.items():
             if t.bit_count() != self.n_minus - 1:
                 continue
-            # subsets s of t's circles whose q = q0 + 2|s| is at least
-            # level and in its block
-            least = (level - q_of[first] + 1) // 2
-            cols = {s: {} for s in range(1 << _count(self.labels[t]))
-                    if s.bit_count() >= least
-                    and (q_of[first] + 2 * s.bit_count() - level) % 4 == 0}
+            r = _count(self.labels[t])
+            cols = {s: {} for s in _in_cut(q_of[first], r, level)
+                    if not cleared[first + s]}
             if not cols:
                 continue
             for t2, sign, images in self._edge_maps(t):
@@ -417,7 +383,61 @@ class FilteredComplex:
             for col in cols.values():
                 nnz += len(col)
                 ech.add(col)
-        return Cut(level, ech, nnz)
+        return Cut(level, ech, nnz, cleared.count(1))
+
+    def _cleared(self, level):
+        """Sources of the cut at ``level`` that reduce to zero in it, as a
+        0/1 mask over basis indices, found with no reduction, like the
+        apparent pairs of Bauer's "Ripser".
+
+        The cut is F_{>=level} of its block, so for a degree -2 generator
+        in the block at q >= level, its boundary's terms at q >= level are
+        a kernel vector of the cut (d d = 0).  ``_cut_at`` adds sources in
+        ascending index, so the vector's largest index reduces to zero;
+        it lies in the target of the highest crossing bit with such a term.
+        The degree -2 labels are not kept, and the walk stops past
+        ``MAX_GENERATORS`` generators: any subset of these is sound.
+        """
+        cleared = bytearray(self.dim)
+        if self.n_minus < 2:
+            return cleared
+        q_of, start = self.basis_q, self.start
+        slot_edges = self.diagram.slot_edges
+        budget = MAX_GENERATORS
+        for ones in itertools.combinations(range(self.n), self.n_minus - 2):
+            t = sum(1 << i for i in ones)
+            src = self.diagram.circle_labels(t)
+            r = _count(src)
+            budget -= 1 << r
+            if budget < 0:
+                break
+            pending = _in_cut(-r - self.writhe + 2, r, level)  # h = -2
+            if not pending:
+                continue
+            smallest = _smallest(src)
+            for i in reversed(range(self.n)):
+                if (t >> i) & 1:
+                    continue
+                t2 = t | (1 << i)
+                first = start[t2]
+                images = _edge_map(slot_edges, src, smallest, i,
+                                   self.labels[t2])
+                least = (level - q_of[first]) // 2    # the least |image|
+                left = []
+                for s in pending:
+                    top = -1
+                    for image in images:
+                        out = image[s]
+                        if out > top and out.bit_count() >= least:
+                            top = out
+                    if top < 0:
+                        left.append(s)
+                    else:
+                        cleared[first + top] = 1
+                pending = left
+                if not pending:
+                    break
+        return cleared
 
     # -- canonical generators ----------------------------------------------
 
@@ -511,6 +531,64 @@ def _printable(n, prefix=""):
 def _count(labels):
     """The number of circles of a resolution given as labels."""
     return max(labels, default=-1) + 1
+
+
+def _smallest(labels):
+    """The smallest edge of each circle of a resolution given as labels."""
+    smallest = []
+    for e, k in enumerate(labels):
+        if k == len(smallest):
+            smallest.append(e)
+    return smallest
+
+
+def _edge_map(slot_edges, src, smallest, i, dst):
+    """The edge map that smooths crossing i, from the resolution with
+    circle labels ``src`` to the one with labels ``dst``, as a list of
+    images.
+
+    Each image list holds, for every subset s of the source's circles,
+    the subset of the target's circles that one term of the edge map
+    sends s to; a merge has one term, a split two.  A list is built by
+    doubling, once per source circle: that circle's bit flips the bit
+    of the target circle it lands on.  XOR makes the two merged circles
+    multiply (1*1 = x*x = 1, 1*x = x), and for a split it turns the
+    two terms of D(1) into those of D(x).
+
+    Circles are read as labels: a source circle lands where the target
+    labels its smallest edge, ``smallest``, and the target smooths
+    crossing i as (a, d), (b, c), so edges a and b lie on one target
+    circle after a merge and on the two circles of a split.
+    """
+    a = slot_edges[4 * i]
+    lo, hi = dst[a], dst[slot_edges[4 * i + 1]]
+    flips = [1 << dst[e] for e in smallest]
+    # the planarity check in FilteredComplex rules out anything but a merge
+    # into one circle or a split into two
+    if lo == hi:
+        starts = (0,)
+    else:
+        if lo > hi:
+            lo, hi = hi, lo
+        flips[src[a]] = 1 << hi    # the second circle of the split
+        starts = (1 << lo, 1 << hi)
+    images = []
+    for first in starts:
+        image = [first]
+        for m in flips:
+            image += [out ^ m for out in image]
+        images.append(image)
+    return images
+
+
+def _in_cut(q0, r, level):
+    """The subsets s of r circles with q = q0 + 2|s| at least ``level``
+    and in its q mod 4 block: |s| >= (level - q0) / 2, of that parity."""
+    least = (level - q0) // 2
+    sizes = range(least % 2 if least < 0 else least, r + 1, 2)
+    if not sizes:
+        return []
+    return [s for s in range(1 << r) if s.bit_count() in sizes]
 
 
 def s2(diagram):

@@ -327,14 +327,17 @@ class Ledger:
         generator to a nonzero multiple.  Constant labelings merge equal
         labels under fusion and duplicate under fission, so every
         elementary move does this except a 0-handle, whose new circle
-        must be fused into the rest before the end of the movie.
+        must be fused into the rest before the end of the movie.  It
+        never applies to a movie ending in the empty link, whose s_n is
+        undefined.  A movie from the empty link to a nonempty one holds a
+        0-handle that no start circle absorbs, so it never applies either.
         """
         return {
             "theorem": "cobordism inequality",
             "chi": self.chi,
             "inequality": (f"s_n(start) - (n-1)*({self.chi}) >= s_n(end)"
                            " for all n >= 2"),
-            "applies": self.h0_absorbed,
+            "applies": self.h0_absorbed and self.end.n_components > 0,
         }
 
 

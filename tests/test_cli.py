@@ -213,6 +213,16 @@ def test_movie_command(tmp_path):
     assert report["slice_certificates"][0]["lo"] == -2
 
 
+def test_movie_ending_in_the_empty_link_certifies_nothing(tmp_path):
+    # s_n of the empty link is undefined, so neither inequality is stated
+    path = tmp_path / "movie.jsonl"
+    path.write_text('{"start": "U"}\n{"kind": "H2", "edges": [1]}\n')
+    code, report = run_json("movie", "--movie", str(path))
+    assert code == 0 and report["end"] == ""
+    assert report["lemma2"]["applies"] is False
+    assert "slice_certificates" not in report
+
+
 def test_verify_command():
     code, report = run_json("verify", "--property", "unlink-values")
     assert code == 0

@@ -395,7 +395,14 @@ def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
     assert neighbours > 0
     cx.s2()
     cx.low_generator()
-    assert len(calls) == built + neighbours
+    # no built or neighbouring resolution is labelled twice; each cut
+    # tried walks the degree -2 resolutions for clearing, and keeps none
+    # of their labels
+    walked = calls[built + neighbours:]
+    assert walked and not any(t in cx.labels for t in walked)
+    assert sorted(walked) == sorted(
+        t for t in range(1 << d.n_crossings)
+        if t.bit_count() == cx.n_minus - 2) * cx.stats()["cuts_tried"]
 
 
 def test_cycles_need_degree_zero_only():
@@ -550,7 +557,7 @@ def test_stats():
     assert lee.FilteredComplex(d).stats() == {
         "degrees": [0, 0], "resolutions": 1, "dim": 4,
         "nnz": 0, "boundary_cols": 0,
-        "cut": [], "cuts_tried": 0, "pivots": 0, "cut_nnz": 0}
+        "cut": [], "cuts_tried": 0, "pivots": 0, "cut_nnz": 0, "cleared": 0}
     full = lee.FilteredComplex(d, whole=True).stats()
     assert full["degrees"] == [0, 3] and full["resolutions"] == 8
     # 3 merges out of h = 0, 6 splits out of h = 1, 3 out of h = 2
@@ -571,15 +578,20 @@ def test_stats_report_the_cut_without_building_the_differential():
     assert "columns" not in cx.__dict__
     assert (st_["cut"], st_["cuts_tried"]) == ([5, 3], 3)
     # each cut's vectors: the degree -1 columns from sources in its
-    # block at q >= its level, projected onto the degree-0 rows there
-    nnz = rank = 0
+    # block at q >= its level, projected onto the degree-0 rows there;
+    # the cut eliminates all but the cleared ones, at the same rank
+    nnz = skipped = rank = cleared = 0
     for level in st_["cut"]:
-        projected = [{row: c for row, c in cx.columns[i]
-                      if cx.basis_q[row] >= level}
+        projected = {i: {row: c for row, c in cx.columns[i]
+                         if cx.basis_q[row] >= level}
                      for i in cx.by_h[-1] if cx.basis_q[i] >= level
-                     and (cx.basis_q[i] - level) % 4 == 0]
-        nnz += sum(len(v) for v in projected)
-        rank += linalg.rank(projected)
-    assert st_["cut_nnz"] == nnz > 0
+                     and (cx.basis_q[i] - level) % 4 == 0}
+        gone = [i for i, c in enumerate(cx._cleared(level)) if c]
+        nnz += sum(len(v) for v in projected.values())
+        skipped += sum(len(projected[i]) for i in gone)
+        rank += linalg.rank(projected.values())
+        cleared += len(gone)
+    assert st_["cut_nnz"] + skipped == nnz > 0
     assert st_["pivots"] == rank > 0
+    assert st_["cleared"] == cleared > 0
     assert st_["nnz"] == sum(len(c) for c in cx.columns)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from linksn import calculus as ca
 from linksn import diagram as dg
-from linksn import lee
+from linksn import lee, linalg
 from linksn import verify
 
 braid_words = st.lists(
@@ -48,6 +48,38 @@ def test_mirror_window_random_braids(word):
     d = dg.parse_braid(word, 3)
     total = lee.s2(d) + lee.s2(dg.mirror(d))
     assert 0 <= total <= 2 * d.n_components - 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=8)
+       .filter(lambda word: sum(g < 0 for g in word) >= 2))
+def test_cleared_sources_reduce_to_zero_random_braids(word):
+    """Every cached cut, eliminated again from the whole complex's
+    columns with no source skipped: each cleared source reduces to zero
+    there, and the echelons are the same."""
+    d = dg.parse_braid(word, 4)
+    cx = lee.FilteredComplex(d)
+    cx.s2()
+    cx.qgr(cx.canonical_cycle(-1))
+    whole = lee.FilteredComplex(d, whole=True)
+    index = {(t, s): i for i, (t, s) in
+             enumerate(zip(cx.basis_t, cx.basis_subset))}
+    for cut in cx._cuts.values():
+        level, ech, zero = cut.level, linalg.Echelon(), set()
+        for i in cx.by_h[-1]:
+            if cx.basis_q[i] < level or (cx.basis_q[i] - level) % 4:
+                continue
+            col = {}
+            for row, c in whole.columns[whole.start[cx.basis_t[i]]
+                                        + cx.basis_subset[i]]:
+                k = index[whole.basis_t[row], whole.basis_subset[row]]
+                if cx.basis_q[k] >= level:
+                    col[cx.dim * (1 - cx.basis_q[k]) - 1 - k] = c
+            if not ech.add(col):
+                zero.add(i)
+        cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
+        assert cleared <= zero and cut.cleared == len(cleared)
+        assert cut.echelon.pivots == ech.pivots
 
 
 @settings(max_examples=20, deadline=None)
