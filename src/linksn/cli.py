@@ -24,7 +24,7 @@ from . import calculus as ca
 from . import diagram as dg
 from . import movie as mv
 from . import verify
-from .errors import InputError, LinkError
+from .errors import EmptyStart, InputError, LinkError, NotEndingInUnlink
 
 MAX_N_VALUES = 1000   # the most values of n one --n range may ask for
 
@@ -183,8 +183,11 @@ def cmd_movie(args):
              f"ordered: {order is None}",
              f"certificate: {lemma2['inequality']}"
              f" (applies: {lemma2['applies']})"]
-    if not ledger.end.n_crossings and ledger.end.n_components:
+    try:
         certs = [mv.slice_certificate(ledger, n) for n in args.n]
+    except (EmptyStart, NotEndingInUnlink):
+        pass
+    else:
         report["slice_certificates"] = certs
         lines += [f"  {ineq}" for c in certs for ineq in c["inequalities"]]
     return 0, report, lines

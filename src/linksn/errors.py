@@ -69,3 +69,7 @@ class InapplicableMove(LinkError):
 
 class NotEndingInUnlink(LinkError):
     pass
+
+
+class EmptyStart(LinkError):
+    """The movie starts in the empty link, whose s_n is undefined."""

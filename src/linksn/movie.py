@@ -33,6 +33,7 @@ from . import diagram as dg
 from .diagram import (Crossing, LinkDiagram, _crossing_from_strands,
                       _swap_incoming)
 from .errors import (
+    EmptyStart,
     InapplicableMove,
     InconsistentDiagram,
     IndexOutOfRange,
@@ -463,7 +464,11 @@ def slice_certificate(ledger, n):
 
     F is the movie's surface capped with one disk per end circle, and k
     its number of connected components.  Returns the certificate as the
-    dict ``movie --json`` prints."""
+    dict ``movie --json`` prints.  A movie from the empty link bounds
+    nothing, since s_n of the empty link is undefined."""
+    if not ledger.frames[0].n_components:
+        raise EmptyStart("slice certificates need a movie from a nonempty "
+                         "link")
     end = ledger.end
     if end.n_crossings or end.n_components == 0:
         raise NotEndingInUnlink(

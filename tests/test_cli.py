@@ -223,6 +223,19 @@ def test_movie_ending_in_the_empty_link_certifies_nothing(tmp_path):
     assert "slice_certificates" not in report
 
 
+def test_movie_starting_in_the_empty_link_certifies_nothing(tmp_path):
+    # a birth from the empty link: s_n of the start is undefined, so
+    # neither genus bound is stated (they read 1 <= s_2 <= -1)
+    path = tmp_path / "movie.jsonl"
+    path.write_text('{"start": ""}\n{"kind": "H0"}\n')
+    code, report = run_json("movie", "--movie", str(path))
+    assert code == 0 and report["end"] == "U"
+    assert report["lemma2"]["applies"] is False
+    assert "slice_certificates" not in report
+    code, text = run_cli("movie", "--movie", str(path))
+    assert code == 0 and "s_2(L)" not in text
+
+
 def test_verify_command():
     code, report = run_json("verify", "--property", "unlink-values")
     assert code == 0

@@ -10,6 +10,7 @@ from linksn import diagram as dg
 from linksn import lee
 from linksn import movie as mv
 from linksn.errors import (
+    EmptyStart,
     InapplicableMove,
     InconsistentDiagram,
     InputError,
@@ -516,6 +517,16 @@ def test_slice_certificate_needs_unlink():
     movie = mv.Movie(TREFOIL, [mv.Move("R1+", edges=(1,))])
     with pytest.raises(NotEndingInUnlink):
         mv.slice_certificate(mv.validate_movie(movie), 2)
+
+
+def test_slice_certificate_needs_a_nonempty_start():
+    # a birth from the empty link ends in the unknot, but s_n of the
+    # start is undefined
+    ledger = mv.validate_movie(mv.movie_from_lines(
+        ['{"start": ""}', '{"kind": "H0"}']))
+    assert ledger.end.n_components == 1 and not ledger.end.n_crossings
+    with pytest.raises(EmptyStart):
+        mv.slice_certificate(ledger, 2)
 
 
 def test_annulus_movie_forces_equality():

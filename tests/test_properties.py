@@ -7,6 +7,7 @@ from linksn import calculus as ca
 from linksn import diagram as dg
 from linksn import lee, linalg
 from linksn import verify
+from test_lee import boundary_columns
 
 braid_words = st.lists(
     st.integers(-2, 2).filter(bool), min_size=1, max_size=6)
@@ -18,6 +19,28 @@ def test_homology_dimension_random_braids(word):
     d = dg.parse_braid(word, 3)
     cx = lee.FilteredComplex(d, whole=True)
     assert cx.homology_dimension() == 2 ** d.n_components
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words, st.data())
+def test_cleared_ranks_of_corrupted_complexes(word, data):
+    """1-3 entries of ``columns`` flipped, doubled or zeroed, which
+    mostly makes d^2 nonzero: each column the sweep skips is checked, so
+    every rank equals the uncleared reference's."""
+    cx = lee.FilteredComplex(dg.parse_braid(word, 3), whole=True)
+    entries = [(i, k) for i, col in enumerate(cx.columns)
+               for k in range(len(col))]
+    for i, k in data.draw(st.lists(st.sampled_from(entries), min_size=1,
+                                   max_size=3, unique=True)):
+        row, c = cx.columns[i][k]
+        cx.columns[i][k] = (row, data.draw(st.sampled_from((-c, 2 * c, 0))))
+    lo, hi = cx.degrees
+    ranks = {h: linalg.rank(boundary_columns(cx, h))
+             for h in range(lo, hi + 1)}
+    assert cx.homology_dimension() == cx.dim - 2 * sum(ranks.values())
+    for h in range(lo - 1, hi + 2):
+        assert cx.homology_rank(h) == (len(cx.by_h.get(h, ()))
+                                       - ranks.get(h, 0) - ranks.get(h - 1, 0))
 
 
 @settings(max_examples=40, deadline=None)
