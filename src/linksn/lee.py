@@ -57,9 +57,15 @@ d^2 is not zero, and the homology check does not assume the d^2 check.
 A resolution's circles are held as labels, ``LinkDiagram.circle_labels``:
 entry i is the circle of edge i, circles numbered by their smallest edge,
 so a resolution with largest label r - 1 has r circles.  The labels of
-every built resolution, and of each neighbour a cycle check visits, are
-memoized on the complex, and an edge map reads them at the crossing's
-edges and at each source circle's smallest edge.
+every built resolution are memoized on the complex.  An edge map is a
+function of its shape (r, lo, hi, split), read from labels at the
+crossing's edges (``_edge_map``): the source's labels tell a merge of
+circles lo < hi from a split, and only a split labels its target, to
+number its two circles.  Each shape's image table is built once per
+complex, in ``_images``, and shared by the differential, the cuts,
+their clearing and the cycle checks.  Every edge out of the oriented
+resolution merges two Seifert circles, so the cycle check of a
+canonical cycle labels no neighbour.
 
 A build costs the generators it creates, the sum of 2^r over its
 r-circle resolutions, so that count, not the crossing count, is held to
@@ -71,6 +77,7 @@ splits one, which holds for a planar diagram.  The complex checks that
 once, in O(c), with Euler's formula (``LinkDiagram.check_planar``).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -161,6 +168,7 @@ class FilteredComplex:
             idx += size
         self.dim = idx
         self._cuts = {}        # q mod 4 -> the deepest Cut tried, see qgr
+        self._tables = {}      # (r, lo, hi, split) -> images, see _images
         self._cuts_tried = 0
 
     @cached_property
@@ -223,19 +231,40 @@ class FilteredComplex:
 
     def _edge_maps(self, t):
         """The cube edges out of built resolution t, as (t2, sign, images),
-        with the images of ``_edge_map``.  Target labels are memoized."""
-        labels = self.labels
-        src = labels[t]
-        smallest = _smallest(src)
-        slot_edges = self.diagram.slot_edges
+        with the images of ``_images``."""
+        src = self.labels[t]
+        r = _count(src)
         for i in range(self.n):
             if not (t >> i) & 1:
                 t2 = t | (1 << i)
-                if t2 not in labels:
-                    labels[t2] = self.diagram.circle_labels(t2)
                 sign = -1 if (t & ((1 << i) - 1)).bit_count() & 1 else 1
-                yield t2, sign, _edge_map(slot_edges, src, smallest, i,
-                                          labels[t2])
+                yield t2, sign, self._images(src, r, i, t2)
+
+    def _images(self, src, r, i, t2):
+        """The images of the edge map that smooths crossing i of the
+        resolution with labels ``src`` and r circles, into resolution t2:
+        the table ``_edge_map`` of the edge's shape (r, lo, hi, split),
+        memoized on the complex.  The source smooths crossing i as
+        (a, b), (c, d), so the edge merges circles ``src[a]`` and
+        ``src[c]`` if they differ; if not, it splits that circle, and t2
+        is labelled (and memoized) to find the two circles a and b land
+        on."""
+        slot_edges = self.diagram.slot_edges
+        a = slot_edges[4 * i]
+        lo, hi = src[a], src[slot_edges[4 * i + 2]]
+        split = lo == hi
+        if split:
+            dst = self.labels.get(t2)
+            if dst is None:
+                dst = self.labels[t2] = self.diagram.circle_labels(t2)
+            lo, hi = dst[a], dst[slot_edges[4 * i + 1]]
+        if lo > hi:
+            lo, hi = hi, lo
+        key = (r, lo, hi, split)
+        images = self._tables.get(key)
+        if images is None:
+            images = self._tables[key] = _edge_map(*key)
+        return images
 
     # -- chain-level helpers ----------------------------------------------
 
@@ -256,20 +285,22 @@ class FilteredComplex:
 
         d is applied on demand from the edge maps out of the chain's own
         resolutions, so the check needs no column built: it works in
-        every built degree, the top one included.
+        every built degree, the top one included.  The image terms are
+        summed per target resolution, which is hashed once per edge.
         """
         by_t = {}
         for i, v in chain.items():
             by_t.setdefault(self.basis_t[i], []).append(
                 (self.basis_subset[i], v))
-        out = {}
+        out = {}    # t2 -> {subset: coefficient}
         for t, terms in by_t.items():
             for t2, sign, images in self._edge_maps(t):
+                acc = out.setdefault(t2, {})
                 for image in images:
                     for subset, v in terms:
-                        key = (t2, image[subset])
-                        out[key] = out.get(key, 0) + sign * v
-        return not any(out.values())
+                        out_s = image[subset]
+                        acc[out_s] = acc.get(out_s, 0) + sign * v
+        return not any(v for acc in out.values() for v in acc.values())
 
     def _ranks(self):
         """The rank of the boundary map out of each degree, by one sweep
@@ -389,13 +420,14 @@ class FilteredComplex:
         """
         q_of, dim = self.basis_q, self.dim
         cleared = self._cleared(level)
+        in_cut = functools.cache(_in_cut)    # for this cut only
         ech = linalg.Echelon()
         nnz = 0
         for t, first in self.start.items():
             if t.bit_count() != self.n_minus - 1:
                 continue
             r = _count(self.labels[t])
-            cols = {s: {} for s in _in_cut(q_of[first], r, level)
+            cols = {s: {} for s in in_cut((level - q_of[first]) // 2, r)
                     if not cleared[first + s]}
             if not cols:
                 continue
@@ -429,7 +461,7 @@ class FilteredComplex:
         if self.n_minus < 2:
             return cleared
         q_of, start = self.basis_q, self.start
-        slot_edges = self.diagram.slot_edges
+        in_cut = functools.cache(_in_cut)    # for this cut only
         budget = MAX_GENERATORS
         for ones in itertools.combinations(range(self.n), self.n_minus - 2):
             t = sum(1 << i for i in ones)
@@ -438,17 +470,16 @@ class FilteredComplex:
             budget -= 1 << r
             if budget < 0:
                 break
-            pending = _in_cut(-r - self.writhe + 2, r, level)  # h = -2
+            # q0 = -r - w + 2 at h = -2
+            pending = in_cut((level + r + self.writhe - 2) // 2, r)
             if not pending:
                 continue
-            smallest = _smallest(src)
             for i in reversed(range(self.n)):
                 if (t >> i) & 1:
                     continue
                 t2 = t | (1 << i)
                 first = start[t2]
-                images = _edge_map(slot_edges, src, smallest, i,
-                                   self.labels[t2])
+                images = self._images(src, r, i, t2)
                 least = (level - q_of[first]) // 2    # the least |image|
                 left = []
                 for s in pending:
@@ -560,19 +591,10 @@ def _count(labels):
     return max(labels, default=-1) + 1
 
 
-def _smallest(labels):
-    """The smallest edge of each circle of a resolution given as labels."""
-    smallest = []
-    for e, k in enumerate(labels):
-        if k == len(smallest):
-            smallest.append(e)
-    return smallest
-
-
-def _edge_map(slot_edges, src, smallest, i, dst):
-    """The edge map that smooths crossing i, from the resolution with
-    circle labels ``src`` to the one with labels ``dst``, as a list of
-    images.
+def _edge_map(r, lo, hi, split):
+    """The edge map out of a resolution with r circles that merges its
+    circles lo < hi, or if ``split`` splits its circle lo into the
+    target's circles lo < hi, as a list of images.
 
     Each image list holds, for every subset s of the source's circles,
     the subset of the target's circles that one term of the edge map
@@ -582,23 +604,22 @@ def _edge_map(slot_edges, src, smallest, i, dst):
     multiply (1*1 = x*x = 1, 1*x = x), and for a split it turns the
     two terms of D(1) into those of D(x).
 
-    Circles are read as labels: a source circle lands where the target
-    labels its smallest edge, ``smallest``, and the target smooths
-    crossing i as (a, d), (b, c), so edges a and b lie on one target
-    circle after a merge and on the two circles of a split.
+    Circles are numbered by their smallest edge, so four ints give the
+    whole map.  A merge joins lo and hi into one circle whose smallest
+    edge is lo's: the circles below hi keep their number, and those
+    above it move down one.  A split keeps the split circle's smallest
+    edge on the piece numbered lo, the source's own number, and the
+    other piece's smallest edge is new, numbered hi: the circles at or
+    above hi move up one.
     """
-    a = slot_edges[4 * i]
-    lo, hi = dst[a], dst[slot_edges[4 * i + 1]]
-    flips = [1 << dst[e] for e in smallest]
-    # the planarity check in FilteredComplex rules out anything but a merge
-    # into one circle or a split into two
-    if lo == hi:
-        starts = (0,)
-    else:
-        if lo > hi:
-            lo, hi = hi, lo
-        flips[src[a]] = 1 << hi    # the second circle of the split
+    if split:
+        flips = [1 << (j if j < hi else j + 1) for j in range(r)]
+        flips[lo] = 1 << hi    # the second circle of the split
         starts = (1 << lo, 1 << hi)
+    else:
+        flips = [1 << (j if j < hi else j - 1) for j in range(r)]
+        flips[hi] = 1 << lo
+        starts = (0,)
     images = []
     for first in starts:
         image = [first]
@@ -608,10 +629,10 @@ def _edge_map(slot_edges, src, smallest, i, dst):
     return images
 
 
-def _in_cut(q0, r, level):
-    """The subsets s of r circles with q = q0 + 2|s| at least ``level``
-    and in its q mod 4 block: |s| >= (level - q0) / 2, of that parity."""
-    least = (level - q0) // 2
+def _in_cut(least, r):
+    """The subsets s of r circles in a cut that keeps |s| >= ``least``, of
+    its parity: the subsets with q = q0 + 2|s| at least the cut's level
+    and in its q mod 4 block, for least = (level - q0) / 2 rounded down."""
     sizes = range(least % 2 if least < 0 else least, r + 1, 2)
     if not sizes:
         return []

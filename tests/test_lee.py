@@ -406,24 +406,32 @@ def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
     cx = lee.FilteredComplex(d)
     built = len(calls)
     assert built == cx.stats()["resolutions"]
+    # every edge out of the oriented resolution merges two Seifert
+    # circles, which the source's labels show: no neighbour is labelled
     cx.canonical_cycle(1)
-    # the crossings out of the oriented resolution reach new neighbours
-    neighbours = len(calls) - built
-    assert neighbours == sum(
-        1 for i in range(d.n_crossings)
-        if not (d.oriented_mask >> i) & 1
-        and (d.oriented_mask | 1 << i) not in cx.start)
-    assert neighbours > 0
     cx.s2()
     cx.low_generator()
-    # no built or neighbouring resolution is labelled twice; each cut
-    # tried walks the degree -2 resolutions for clearing, and keeps none
-    # of their labels
-    walked = calls[built + neighbours:]
+    # each cut tried walks the degree -2 resolutions for clearing, and
+    # keeps none of their labels
+    walked = calls[built:]
     assert walked and not any(t in cx.labels for t in walked)
     assert sorted(walked) == sorted(
         t for t in range(1 << d.n_crossings)
         if t.bit_count() == cx.n_minus - 2) * cx.stats()["cuts_tried"]
+    # a cycle check out of a degree-0 resolution labels the neighbours
+    # its edges split into, once each, and no other
+    top = [(t, first) for t, first in cx.start.items()
+           if cx.basis_h[first] == 0]
+    splits = {t | 1 << i for t, _ in top for i in range(d.n_crossings)
+              if not (t >> i) & 1
+              and max(labels(t | 1 << i)) > max(labels(t))}
+    assert splits and not splits & set(cx.start)
+    del calls[:]
+    for _ in range(2):
+        for t, first in top:
+            cx._is_cycle({first: 1})
+    assert sorted(calls) == sorted(splits)
+    assert all(t in cx.labels for t in splits)
 
 
 def test_cycles_need_degree_zero_only():
@@ -484,6 +492,83 @@ def test_doubled_edge_maps_match_the_per_subset_reference(braid):
         for t, s, h in zip(cx.basis_t, cx.basis_subset, cx.basis_h)]
     assert cx.basis_h == [bin(t).count("1") - cx.n_minus
                           for t in cx.basis_t]
+
+
+def reference_edge_map(d, t, i):
+    """The edge map that smooths crossing i out of resolution t, read off
+    both resolutions' labels: each source circle lands where the target
+    labels its smallest edge, and the split circle's second bit flips
+    the split's higher circle."""
+    slot_edges = d.slot_edges
+    src, dst = d.circle_labels(t), d.circle_labels(t | 1 << i)
+    smallest = []
+    for e, k in enumerate(src):
+        if k == len(smallest):
+            smallest.append(e)
+    a = slot_edges[4 * i]
+    lo, hi = sorted((dst[a], dst[slot_edges[4 * i + 1]]))
+    flips = [1 << dst[e] for e in smallest]
+    if lo == hi:
+        starts = (0,)
+    else:
+        flips[src[a]] = 1 << hi
+        starts = (1 << lo, 1 << hi)
+    images = []
+    for first in starts:
+        image = [first]
+        for m in flips:
+            image += [out ^ m for out in image]
+        images.append(image)
+    return images
+
+
+def reference_edge_maps(cx, t):
+    """``FilteredComplex._edge_maps`` from ``reference_edge_map``."""
+    for i in range(cx.n):
+        if not (t >> i) & 1:
+            sign = (-1) ** bin(t & ((1 << i) - 1)).count("1")
+            yield t | 1 << i, sign, reference_edge_map(cx.diagram, t, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_braids(6), st.integers(0, 2), st.booleans())
+def test_keyed_edge_maps_match_the_smallest_edge_reference(braid, loops,
+                                                          before):
+    # crossing-free loops numbered below or above every crossed circle
+    d = dg.parse_braid(*braid)
+    if before:
+        d = dg.disjoint_union(dg.unlink(loops), d)
+    else:
+        for _ in range(loops):
+            d = dg.disjoint_union(d, dg.unknot())
+    cx = lee.FilteredComplex(d, whole=True)
+    for t in range(1 << d.n_crossings):
+        assert (list(cx._edge_maps(t))
+                == list(reference_edge_maps(cx, t)))
+
+
+ENGINE_NONPOSITIVE = [([1, -2, 1, -2, 1, 2, -1, 2, 1, -2, 1, 2], 3),
+                      ([1, 1, -2, 3, -1, -1, 3, -2, 3, 1], 4), NP_3S10C_2]
+
+
+def test_keyed_edge_maps_give_the_reference_engine(monkeypatch):
+    from linksn import verify
+
+    def answers():
+        out = []
+        for d in diagrams:
+            cx = lee.FilteredComplex(d)
+            out.append((cx.s2(), cx.low_generator(), cx.stats(),
+                        {c: (cut.level, cut.echelon.pivots)
+                         for c, cut in cx._cuts.items()}))
+        return out
+    diagrams = [d for _, d, _ in verify.corpus() if d.n_components]
+    diagrams += [dg.parse_braid(*braid) for braid in ENGINE_NONPOSITIVE]
+    keyed = answers()
+    monkeypatch.setattr(lee.FilteredComplex, "_edge_maps",
+                        reference_edge_maps)
+    assert answers() == keyed
+    assert all(cuts for *_, cuts in keyed[-3:])
 
 
 def merges_or_splits_everywhere(d):
