@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .errors import InconsistentDiagram, NotACycle, TooLarge, ZeroClass
+from .errors import NotACycle, TooLarge, ZeroClass
 
 MAX_GENERATORS = 1 << 20   # the generators one build may create
 
@@ -199,22 +199,21 @@ class FilteredComplex:
         """Sizes of what was built, and of the cached ``qgr`` cuts.
 
         ``nnz`` counts the entries of ``columns`` without building it: an
-        edge out of an r-circle resolution has 2^r terms if it merges and
-        2^(r+1) if it splits.  ``cut`` lists the levels of the cached
-        ``qgr`` cuts, at most one per q mod 4 block, highest first;
-        ``cuts_tried`` counts the echelons built so far, ``pivots`` and
-        ``cut_nnz`` the cached cuts' rank and the nonzeros of the vectors
-        they eliminated, and ``cleared`` the sources they skipped."""
+        edge out of an r-circle resolution has 2^r terms per image of
+        ``_images``, one image if it merges and two if it splits.  ``cut``
+        lists the levels of the cached ``qgr`` cuts, at most one per q
+        mod 4 block, highest first; ``cuts_tried`` counts the echelons
+        built so far, ``pivots`` and ``cut_nnz`` the cached cuts' rank and
+        the nonzeros of the vectors they eliminated, and ``cleared`` the
+        sources they skipped."""
         hi = self.built[1]
         nnz = 0
         for t in self.start:
             if t.bit_count() - self.n_minus == hi:
                 continue
             r = _count(self.labels[t])
-            for i in range(self.n):
-                if not (t >> i) & 1:
-                    split = _count(self.labels[t | 1 << i]) > r
-                    nnz += 1 << (r + split)
+            for _, _, images in self._edge_maps(t):
+                nnz += len(images) << r
         cuts = self._cuts.values()
         return {
             "degrees": list(self.built),
@@ -503,7 +502,7 @@ class FilteredComplex:
         """2-coloring of the Seifert graph by nesting parity.
 
         The Seifert graph of a planar diagram is bipartite; a wrong
-        coloring would give a chain that ``_is_cycle`` rejects."""
+        coloring would give a chain that ``qgr`` rejects."""
         labels = self.labels[self.diagram.oriented_mask]
         slot_edges = self.diagram.slot_edges
         r = _count(labels)
@@ -535,17 +534,15 @@ class FilteredComplex:
         labels alternating with the coloring, at the oriented resolution.
         The product is built by doubling, once per circle: subsets
         without the circle take its label, subsets with it its x.  Its
-        part in one q mod 4 block is a parity piece ``h_cycle``."""
+        part in one q mod 4 block is a parity piece ``h_cycle``.  It is
+        not checked here: ``qgr`` checks every chain it is asked about."""
         if label not in (1, -1):
             raise ValueError("label must be +1 or -1")
         coeffs = [1]
         for col in self.seifert_coloring():
             eps = label if col == 0 else -label
             coeffs = [c * eps for c in coeffs] + coeffs
-        chain = dict(enumerate(coeffs, self.start[self.diagram.oriented_mask]))
-        if not self._is_cycle(chain):
-            raise InconsistentDiagram("canonical chain is not a cycle")
-        return chain
+        return dict(enumerate(coeffs, self.start[self.diagram.oriented_mask]))
 
     def _parity_part(self, chain, p):
         """The terms of ``chain`` whose subset has parity p."""

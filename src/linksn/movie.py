@@ -12,14 +12,18 @@ per edge through saddles, inserted edges and births: ``validate_movie``
 tags edges with the surface sheet they sweep, ``generator_fate`` with a
 generator label.  A removal (``diagram.erase_crossings``) keeps the id
 and the component of every edge that survives it, so only insertions
-report new edges, and ``births`` holds the circles of H0 moves only.  The move-order check and the slice certificates read
-the ``Ledger`` that ``validate_movie`` returns, so one replay serves a
-whole report.  They return plain values: ``check_lobb_order`` None or
-the index of the first out-of-order move, ``slice_certificate`` the
-dict that ``movie --json`` prints.
+report new edges, and ``births`` holds the circles of H0 moves only.
+The move-order check and the slice certificates read the ``Ledger``
+that ``validate_movie`` returns, so one replay serves a whole report.
+They return plain values: ``check_lobb_order`` None or the index of the
+first out-of-order move, ``slice_certificate`` the dict that
+``movie --json`` prints.
 
-Reidemeister kinds are bidirectional: giving ``edges`` inserts the
-pattern, giving ``crossings`` removes it.
+``_MOVES`` is the one place that says which ids each kind takes, and
+which rewrite applies it.  Reidemeister kinds are bidirectional: giving
+``edges`` inserts the pattern, giving ``crossings`` removes it.
+``_apply`` checks a move's id counts against the table and its ids
+against the diagram, so a rewrite checks only its pattern.
 
 A movie file is JSON lines: ``{"start": PD text}``, then one
 ``Move.to_dict()`` per move, naming edges and crossings as ``parse_pd``
@@ -36,7 +40,6 @@ from .errors import (
     EmptyStart,
     InapplicableMove,
     InconsistentDiagram,
-    IndexOutOfRange,
     InputError,
     NotEndingInUnlink,
 )
@@ -92,65 +95,16 @@ def _cut(crossings, loops, e, f):
     return tuple(_swap_incoming(x, e, f) for x in crossings), loops, f
 
 
-def _apply(d, m):
-    """Returns (new diagram, info) where info records edge genealogy:
-    ``inherit`` maps each new edge to the edge it grew from, ``births``
-    lists the circle an H0 creates, ``spliced`` holds H1 arcs.  A removal
-    reports nothing: every edge that survives it keeps its id and its
-    component."""
-    info = {"inherit": {}, "births": [], "spliced": None}
-    if m.kind == "H0" and (m.edges or m.crossings):
-        raise InapplicableMove("H0 takes no edges and no crossings")
-    if m.kind in ("H1", "H2") and m.crossings:
-        raise InapplicableMove(f"{m.kind} takes edges, not crossings")
-    if m.kind in ("R1+", "R1-"):
-        d2 = _r1(d, m, info)
-    elif m.kind == "R2":
-        d2 = _r2(d, m, info)
-    elif m.kind == "R3":
-        d2 = _r3(d, m, info)
-    elif m.kind == "H0":
-        new = _fresh(d, 1)[0]
-        info["births"].append(new)
-        d2 = LinkDiagram(d.crossings, d.loops + (new,))
-    elif m.kind == "H1":
-        if len(m.edges) != 2:
-            raise InapplicableMove("H1 needs the two arcs being joined")
-        e1, e2 = m.edges
-        d2 = dg.splice_edges(d, e1, e2)
-        info["spliced"] = (e1, e2)
-        for e in set(d2.loops) - set(d.loops):
-            info["inherit"][e] = e1
-    elif m.kind == "H2":
-        if len(m.edges) != 1:
-            raise InapplicableMove("H2 needs one circle edge")
-        e = m.edges[0]
-        if e not in d.loops:
-            raise InapplicableMove(
-                f"edge {e} is not a crossing-free circle disjoint from the rest")
-        d2 = LinkDiagram(d.crossings, tuple(x for x in d.loops if x != e))
-    else:  # pragma: no cover - guarded by Move.__post_init__
-        raise InapplicableMove(f"unknown move kind {m.kind!r}")
-    return d2, info
-
-
 def _r1(d, m, info):
     sign = 1 if m.kind == "R1+" else -1
-    if len(m.edges) + len(m.crossings) != 1:
-        raise InapplicableMove(
-            "R1 takes one edge (insert) or one crossing (remove)")
     if m.edges:
         (e,) = m.edges
-        if e not in d.successor:
-            raise InapplicableMove(f"no edge {e} to kink")
         f, g = _fresh(d, 2)
         crossings, loops, f = _cut(d.crossings, d.loops, e, f)
         x = Crossing(e, f, g, g, 1) if sign > 0 else Crossing(e, g, g, f, -1)
         info["inherit"].update(dict.fromkeys((f, g), e))
         return LinkDiagram(crossings + (x,), loops)
     (k,) = m.crossings
-    if not 0 <= k < d.n_crossings:
-        raise InapplicableMove(f"no crossing {k}")
     x = d.crossings[k]
     if x.sign != sign:
         raise InapplicableMove(f"crossing {k} has the wrong sign for {m.kind}")
@@ -160,13 +114,10 @@ def _r1(d, m, info):
 
 
 def _r2(d, m, info):
-    if m.edges and not m.crossings:
-        e_a, e_b = m.edges if len(m.edges) == 2 else (None, None)
-        if e_a is None or e_a == e_b:
+    if m.edges:
+        e_a, e_b = m.edges
+        if e_a == e_b:
             raise InapplicableMove("R2 insertion needs two distinct edges")
-        for e in (e_a, e_b):
-            if e not in d.successor:
-                raise InapplicableMove(f"no edge {e}")
         m_a, m_b, f_a, f_b = _fresh(d, 4)
         crossings, loops, f_a = _cut(d.crossings, d.loops, e_a, f_a)
         crossings, loops, f_b = _cut(crossings, loops, e_b, f_b)
@@ -175,38 +126,24 @@ def _r2(d, m, info):
         x1 = Crossing(e_b, m_a, m_b, e_a, 1)
         x2 = Crossing(m_b, m_a, f_b, f_a, -1)
         return LinkDiagram(crossings + (x1, x2), loops)
-    if m.crossings and not m.edges:
-        if len(m.crossings) != 2:
-            raise InapplicableMove("R2 removal needs two crossings")
-        k1, k2 = m.crossings
-        for k in (k1, k2):
-            if not 0 <= k < d.n_crossings:
-                raise InapplicableMove(f"no crossing {k}")
-        if k1 == k2:
-            raise InapplicableMove("R2 removal needs two distinct crossings")
-        x1, x2 = d.crossings[k1], d.crossings[k2]
-        if x1.sign + x2.sign != 0:
-            raise InapplicableMove("R2 removal needs cancelling signs")
-        # a bigon: the over-strand runs from p to q, and the under-strand
-        # from p to q (parallel) or from q to p (anti-parallel)
-        bigons = [(p, q) for p, q in ((k1, k2), (k2, k1))
-                  if d.crossings[p].over_out == d.crossings[q].over_in]
-        if not bigons or not (x1.c == x2.a or x2.c == x1.a):
-            raise InapplicableMove("crossings do not bound an R2 bigon")
-        # listing p first names a strand left as a free circle by its
-        # edge into the bigon
-        return LinkDiagram(*dg.erase_crossings(d, bigons[0]))
-    raise InapplicableMove("R2 takes two edges (insert) or two crossings (remove)")
+    k1, k2 = m.crossings
+    if k1 == k2:
+        raise InapplicableMove("R2 removal needs two distinct crossings")
+    x1, x2 = d.crossings[k1], d.crossings[k2]
+    if x1.sign + x2.sign != 0:
+        raise InapplicableMove("R2 removal needs cancelling signs")
+    # a bigon: the over-strand runs from p to q, and the under-strand
+    # from p to q (parallel) or from q to p (anti-parallel)
+    bigons = [(p, q) for p, q in ((k1, k2), (k2, k1))
+              if d.crossings[p].over_out == d.crossings[q].over_in]
+    if not bigons or not (x1.c == x2.a or x2.c == x1.a):
+        raise InapplicableMove("crossings do not bound an R2 bigon")
+    # listing p first names a strand left as a free circle by its
+    # edge into the bigon
+    return LinkDiagram(*dg.erase_crossings(d, bigons[0]))
 
 
 def _r3(d, m, info):
-    if m.edges:
-        raise InapplicableMove("R3 takes crossings, not edges")
-    if len(m.crossings) != 3:
-        raise InapplicableMove("R3 needs the three crossings of the triangle")
-    for k in m.crossings:
-        if not 0 <= k < d.n_crossings:
-            raise InapplicableMove(f"no crossing {k}")
     k1, k2, k3 = m.crossings
     xs = {k: d.crossings[k] for k in (k1, k2, k3)}
     pairs = [(k1, k2), (k1, k3), (k2, k3)]
@@ -265,8 +202,68 @@ def _r3(d, m, info):
     return LinkDiagram(crossings, d.loops)
 
 
+def _h0(d, m, info):
+    new = _fresh(d, 1)[0]
+    info["births"].append(new)
+    return LinkDiagram(d.crossings, d.loops + (new,))
+
+
+def _h1(d, m, info):
+    e1, e2 = m.edges
+    d2 = dg.splice_edges(d, e1, e2)
+    info["spliced"] = (e1, e2)
+    for e in set(d2.loops) - set(d.loops):
+        info["inherit"][e] = e1
+    return d2
+
+
+def _h2(d, m, info):
+    (e,) = m.edges
+    if e not in d.loops:
+        raise InapplicableMove(
+            f"edge {e} is not a crossing-free circle disjoint from the rest")
+    return LinkDiagram(d.crossings, tuple(x for x in d.loops if x != e))
+
+
+# kind -> (rewrite, the (edge count, crossing count) shapes it takes)
+_MOVES = {
+    "R1+": (_r1, ((1, 0), (0, 1))),
+    "R1-": (_r1, ((1, 0), (0, 1))),
+    "R2": (_r2, ((2, 0), (0, 2))),
+    "R3": (_r3, ((0, 3),)),
+    "H0": (_h0, ((0, 0),)),
+    "H1": (_h1, ((2, 0),)),
+    "H2": (_h2, ((1, 0),)),
+}
+
+
+def _shape_text(edges, crossings):
+    n, noun = (edges, "edge") if edges else (crossings, "crossing")
+    return f"{n} {noun}{'s' * (n > 1)}" if n else "no edges and no crossings"
+
+
+def _apply(d, m):
+    """Returns (new diagram, info) where info records edge genealogy:
+    ``inherit`` maps each new edge to the edge it grew from, ``births``
+    lists the circle an H0 creates, ``spliced`` holds H1 arcs.  A removal
+    reports nothing: every edge that survives it keeps its id and its
+    component."""
+    rewrite, shapes = _MOVES[m.kind]
+    if (len(m.edges), len(m.crossings)) not in shapes:
+        raise InapplicableMove(
+            f"{m.kind} takes {' or '.join(_shape_text(*s) for s in shapes)}")
+    for e in m.edges:
+        if e not in d.successor:
+            raise InapplicableMove(f"no edge {e}")
+    for k in m.crossings:
+        if not 0 <= k < d.n_crossings:
+            raise InapplicableMove(f"no crossing {k}")
+    info = {"inherit": {}, "births": [], "spliced": None}
+    return rewrite(d, m, info), info
+
+
 def apply_move(d, m):
-    """The diagram after one move; raises InapplicableMove on pattern failure.
+    """The diagram after one move; raises InapplicableMove on a bad move.
 
     The result is not checked for planarity: an R2 can give a PD that no
     plane drawing has.  Replay checks every frame."""
@@ -293,7 +290,7 @@ def _replay(movie, tag, born):
         try:
             d2, info = _apply(d, m)
             d2.check_planar()
-        except (InapplicableMove, InconsistentDiagram, IndexOutOfRange) as exc:
+        except (InapplicableMove, InconsistentDiagram) as exc:
             raise InapplicableMove(f"move {i} ({m.kind}): {exc}", index=i) from exc
         joined = None
         if info["spliced"]:

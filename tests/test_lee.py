@@ -268,6 +268,36 @@ def test_qgr_matches_level_scan(braid):
                 == level_or_zero(lambda c: reference_qgr(cx, c), chain))
 
 
+def knot_braids(min_size, max_size):
+    """Braid words on 2-4 strands whose closure is a knot."""
+    def closes_to_a_knot(braid):
+        word, strands = braid
+        perm = list(range(strands))
+        for letter in word:
+            i = abs(letter) - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        k, length = perm[0], 1
+        while k:
+            k, length = perm[k], length + 1
+        return length == strands
+    return st.integers(2, 4).flatmap(lambda strands: st.tuples(
+        st.lists(st.integers(1 - strands, strands - 1).filter(bool),
+                 min_size=min_size, max_size=max_size),
+        st.just(strands))).filter(closes_to_a_knot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(knot_braids(3, 10))
+def test_s2_obeys_the_slice_bennequin_bounds(braid):
+    # an oracle independent of the engine: a knot closing a b-strand braid
+    # of writhe w has 1 - b - w <= s_2 <= b - w - 1 in this sign, where a
+    # positive braid's closure meets the upper bound
+    word, strands = braid
+    w = sum(1 if letter > 0 else -1 for letter in word)
+    assert 1 - strands - w <= lee.s2(dg.parse_braid(word, strands)) \
+        <= strands - w - 1
+
+
 def count_echelons(monkeypatch):
     built = []
     init = linalg.Echelon.__init__

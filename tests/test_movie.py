@@ -413,6 +413,34 @@ def test_replay_matches_the_reference_loops(data):
         movie, labeling, birth)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_malformed_move_is_refused_as_that_move(data):
+    # any kind with up to three edge ids and three crossing indices, in
+    # range or not: replay either takes the move or names it, and
+    # nothing else escapes
+    start = data.draw(st.sampled_from(STARTS + [dg.LinkDiagram()]))
+    kind = data.draw(st.sampled_from(sorted(mv.CHI)))
+    top, n = max(start.edges, default=0), start.n_crossings
+    edge = st.sampled_from(start.edges + (-1, 0, top + 1))
+    crossing = st.sampled_from(tuple(range(n)) + (-1, n))
+    # half the time a shape the kind takes, so its ids reach the rewrite
+    n_edges, n_crossings = data.draw(
+        st.sampled_from(mv._MOVES[kind][1])
+        | st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    m = mv.Move(kind,
+                edges=data.draw(st.lists(edge, min_size=n_edges,
+                                         max_size=n_edges)),
+                crossings=data.draw(st.lists(crossing, min_size=n_crossings,
+                                             max_size=n_crossings)))
+    try:
+        ledger = mv.validate_movie(mv.Movie(start, [m]))
+    except InapplicableMove as exc:
+        assert exc.index == 0 and str(exc).startswith(f"move 0 ({kind}): ")
+    else:
+        assert isinstance(ledger, mv.Ledger)
+
+
 def kinked_unknot(*kinds):
     """The unknot with a kink of each of ``kinds`` in a row along it."""
     d = dg.unknot()
