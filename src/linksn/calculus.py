@@ -5,6 +5,13 @@ connected-sum identities; everything else propagates as an integer
 interval whose endpoints cite the rule that produced them.  The n=2
 engine can refine any realizable expression to an exact value.
 
+Every engine value is an ``EngineDiagram`` leaf.  The engine's build
+grows with the negative crossings, so a knot with more negative than
+positive crossings is evaluated on its mirror and negated by the
+mirror-knot rule, s_2(K) = -s_2(mirror K) (Rasmussen, math/0402131).
+The trace then ends with that rule.  If the mirror's build raises
+``TooLarge``, the knot is built as given, so the route refuses nothing.
+
 Expression trees are dataclass nodes, one per rule, listed in ``NODES``
 by type name.  Their fields are the JSON format: ``LinkExpr.to_dict``
 writes and ``expr_from_dict`` reads and type-checks one key per field,
@@ -24,6 +31,7 @@ from .errors import (
     NotCoprime,
     NotPositiveDiagram,
     NonIntegerGenus,
+    TooLarge,
     UnevaluableLeaf,
 )
 
@@ -129,7 +137,7 @@ def sn_diagram_interval(d, n):
         raise ValueError("n must be at least 2")
     if d.is_positive:
         return sn_positive(d, n)
-    m = sum(x.sign < 0 for x in d.crossings)
+    m = d.n_minus
     base = _positive_formula(d, n)
     slack = 2 * (n - 1) * m
     trace = base.trace + [
@@ -213,6 +221,15 @@ class PositiveDiagram(LinkExpr):
 
 @dataclass
 class EngineDiagram(LinkExpr):
+    """A diagram whose s_2 the homology engine computes.
+
+    The engine builds degrees -1..0, C(c+1, n_-) resolutions, so a knot
+    with more negative than positive crossings is evaluated as the
+    mirror of its mirror: s_2(K) = -s_2(mirror K), the rule ``Mirror``
+    applies to knots and names in the trace.  If the mirror's build is
+    over the budget (``TooLarge``), the diagram itself is built.  Links
+    have no such rule, and a knot with n_- <= n_+ is built directly.
+    """
     diagram: dg.LinkDiagram
 
     def components(self):
@@ -221,7 +238,13 @@ class EngineDiagram(LinkExpr):
     def eval(self, n):
         if n != 2:
             raise UnevaluableLeaf("the homology engine only computes n=2")
-        return _exact(2, lee.s2(self.diagram), ["engine: filtered homology at n=2"])
+        d = self.diagram
+        if d.n_components == 1 and 2 * d.n_minus > d.n_crossings:
+            try:
+                return Mirror(EngineDiagram(dg.mirror(d))).eval(2)
+            except TooLarge:
+                pass
+        return _exact(2, lee.s2(d), ["engine: filtered homology at n=2"])
 
     def realize(self):
         return self.diagram

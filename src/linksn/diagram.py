@@ -158,6 +158,11 @@ class LinkDiagram:
     def writhe(self):
         return sum(x.sign for x in self.crossings)
 
+    @cached_property
+    def n_minus(self):
+        """The number of negative crossings."""
+        return sum(x.sign < 0 for x in self.crossings)
+
     @property
     def is_positive(self):
         return all(x.sign > 0 for x in self.crossings)

@@ -119,7 +119,7 @@ class FilteredComplex:
         self.whole = whole
         self.n = diagram.n_crossings
         self.writhe = diagram.writhe
-        self.n_minus = sum(1 for x in diagram.crossings if x.sign < 0)
+        self.n_minus = diagram.n_minus
         self.degrees = (-self.n_minus, self.n - self.n_minus)  # the cube's
         self.built = self.degrees if whole else (max(-1, -self.n_minus), 0)
         self._build()

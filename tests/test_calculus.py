@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksn import calculus as ca
 from linksn import cli
@@ -12,6 +14,7 @@ from linksn.errors import (
     MixedN,
     NotCoprime,
     NotPositiveDiagram,
+    TooLarge,
     UnevaluableLeaf,
 )
 
@@ -114,6 +117,65 @@ def test_engine_leaf_only_n2():
     assert ca.sn_eval(e, 2).value == -1
     with pytest.raises(UnevaluableLeaf):
         ca.sn_eval(e, 3)
+
+
+MIRROR_RULE = "mirror knot: s_n flips sign"
+
+
+def braid_closures(min_size, max_size):
+    """Braid words on 2-4 strands, as (word, strands)."""
+    return st.integers(2, 4).flatmap(lambda strands: st.tuples(
+        st.lists(st.integers(1 - strands, strands - 1).filter(bool),
+                 min_size=min_size, max_size=max_size),
+        st.just(strands)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_closures(3, 10))
+def test_engine_leaf_evaluates_knots_with_more_negative_crossings_on_the_mirror(
+        braid):
+    d = dg.parse_braid(*braid)
+    v = ca.EngineDiagram(d).eval(2)
+    assert v.value == lee.s2(d)
+    routed = d.n_components == 1 and d.n_minus > d.n_crossings - d.n_minus
+    assert (MIRROR_RULE in v.trace) == routed
+
+
+def test_engine_leaf_gives_the_engine_only_the_mirror_of_a_routed_knot(
+        monkeypatch):
+    seen = []
+    s2 = lee.s2
+
+    def recorded(d):
+        seen.append(dg.serialize_pd(d))
+        return s2(d)
+    monkeypatch.setattr(lee, "s2", recorded)
+    knot = dg.parse_braid([-1, -1, -1, 2, -1, 2], 3)  # n_- = 4 of 6
+    assert ca.EngineDiagram(knot).eval(2).value == 2
+    assert seen == [dg.serialize_pd(dg.mirror(knot))]
+    # a tie and a link are built as given
+    for word, strands in (([1, -2, 1, -2], 3), ([-1, -1], 2)):
+        d = dg.parse_braid(word, strands)
+        seen.clear()
+        v = ca.EngineDiagram(d).eval(2)
+        assert seen == [dg.serialize_pd(d)]
+        assert MIRROR_RULE not in v.trace
+
+
+def test_engine_leaf_builds_a_knot_whose_mirror_is_over_the_budget(
+        monkeypatch):
+    # a knot whose own degrees -1..0 hold 600 generators and its
+    # mirror's 656: with a budget of 600 only the knot itself is built
+    d = dg.parse_braid([1, -2, -1, 1, 1, -2, -3], 4)
+    assert (d.n_components, d.n_minus, d.n_crossings) == (1, 4, 7)
+    assert lee.FilteredComplex(d).dim == 600
+    assert lee.FilteredComplex(dg.mirror(d)).dim == 656
+    monkeypatch.setattr(lee, "MAX_GENERATORS", 600)
+    with pytest.raises(TooLarge):
+        lee.s2(dg.mirror(d))
+    v = ca.EngineDiagram(d).eval(2)
+    assert v.value == 0
+    assert v.trace == ["engine: filtered homology at n=2"]
 
 
 def test_g4_lower_bound():

@@ -111,6 +111,7 @@ def test_writhe_and_mirror():
     t = dg.parse_braid([1, 1, 1], 2)
     m = dg.mirror(t)
     assert m.writhe == -3
+    assert (t.n_minus, m.n_minus) == (0, 3)
     assert dg.mirror(m).same_diagram(t)
     # mirror preserves components and the Seifert circle count
     assert m.n_components == 1
