@@ -45,7 +45,9 @@ So ``FilteredComplex(diagram)`` builds only the resolutions with
 vectors from the edge maps.  ``FilteredComplex(diagram, whole=True)``
 builds every degree, for the checks of d^2, the q drop and the homology.
 A degree-0 chain is checked to be a cycle on demand, by the edge maps out
-of its own resolutions.  ``dim`` counts the generators built.
+of its own resolutions.  ``dim`` counts the generators built, indexed by
+degree, then t, then subset, so each degree is one range, ``by_h[h]``;
+only q is kept per generator, and ``generator(i)`` bisects for (t, s).
 
 The homology of the whole complex ranks its boundary maps in one sweep,
 in ascending degree, with the twist of Chen and Kerber 2011: a pivot row
@@ -77,6 +79,7 @@ splits one, which holds for a planar diagram.  The complex checks that
 once, in O(c), with Euler's formula (``LinkDiagram.check_planar``).
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -110,7 +113,9 @@ class FilteredComplex:
     ``check_d_squared``, ``homology_rank`` and ``homology_dimension``)
     raise ``ValueError`` unless ``whole``; the last two read one cleared
     rank sweep, computed on each call.  A degree outside the cube is
-    empty, so -1..0 is clipped to the cube.
+    empty, so -1..0 is clipped to the cube.  The basis runs by degree,
+    then t, then subset: ``by_h[h]`` is a range, ``start[t]`` a first
+    index, ``generator(i)`` gives (t, subset), and ``basis_q`` the q.
     """
 
     def __init__(self, diagram, whole=False):
@@ -133,11 +138,8 @@ class FilteredComplex:
         # on-demand cycle check has visited
         self.labels = {}
         self.start = {}        # t -> first basis index, for t built
-        self.basis_t = []      # per basis element
-        self.basis_subset = []
-        self.basis_h = []
-        self.basis_q = []
-        self.by_h = {}
+        self.basis_q = []      # per basis element
+        self.by_h = {}         # h -> its range of basis indices
         popcounts = range(lo + self.n_minus, hi + self.n_minus + 1)  # |t|
         # every resolution holds at least one generator
         resolutions = sum(math.comb(self.n, k) for k in popcounts)
@@ -145,41 +147,47 @@ class FilteredComplex:
             raise TooLarge(f"{_printable(resolutions)} resolutions in "
                            f"degrees {lo}..{hi} exceed the budget of "
                            f"{MAX_GENERATORS} generators")
-        # the resolutions built in ascending t, the order of the basis
-        masks = sorted(sum(1 << i for i in ones) for k in popcounts
-                       for ones in itertools.combinations(range(self.n), k))
         idx = 0
-        for t in masks:
-            h = t.bit_count() - self.n_minus
-            self.labels[t] = labels = d.circle_labels(t)
-            r = _count(labels)
-            self.start[t] = idx
-            size = 1 << r
-            if idx + size > MAX_GENERATORS:
-                raise TooLarge(f"{_printable(idx + size, 'at least ')} "
-                               f"generators in degrees {lo}..{hi} exceed "
-                               f"the budget of {MAX_GENERATORS}")
-            self.basis_t.extend([t] * size)
-            self.basis_subset.extend(range(size))
-            self.basis_h.extend([h] * size)
-            q0 = -r - self.writhe - h
-            self.basis_q.extend([q0 + 2 * s.bit_count() for s in range(size)])
-            self.by_h.setdefault(h, []).extend(range(idx, idx + size))
-            idx += size
+        for h, k in zip(range(lo, hi + 1), popcounts):
+            first = idx    # degree h's range, its resolutions in ascending t
+            for t in sorted(sum(1 << i for i in ones) for ones in
+                            itertools.combinations(range(self.n), k)):
+                self.labels[t] = labels = d.circle_labels(t)
+                r = _count(labels)
+                self.start[t] = idx
+                idx += 1 << r
+                if idx > MAX_GENERATORS:
+                    raise TooLarge(f"{_printable(idx, 'at least ')} "
+                                   f"generators in degrees {lo}..{hi} "
+                                   f"exceed the budget of {MAX_GENERATORS}")
+                q0 = -r - self.writhe - h
+                self.basis_q += [q0 + 2 * s.bit_count() for s in range(1 << r)]
+            self.by_h[h] = range(first, idx)
         self.dim = idx
         self._cuts = {}        # q mod 4 -> the deepest Cut tried, see qgr
         self._tables = {}      # (r, lo, hi, split) -> images, see _images
         self._cuts_tried = 0
 
     @cached_property
+    def _masks(self):
+        return list(self.start)     # the built resolutions in basis order
+
+    def generator(self, i):
+        """Basis element i as (t, subset): the last resolution t whose
+        first index is at most i, and the subset of its circles with x."""
+        if not 0 <= i < self.dim:
+            raise IndexError(f"no basis element {i} in a build of {self.dim}")
+        t = self._masks[bisect.bisect(self._masks, i, key=self.start.get) - 1]
+        return t, i - self.start[t]
+
+    @cached_property
     def columns(self):
         """The differential between built degrees, basis index -> list of
         (row, coeff), built on first use; ``qgr`` never reads it."""
-        hi = self.built[1]
         columns = [[] for _ in range(self.dim)]
         for t, first in self.start.items():
-            if t.bit_count() - self.n_minus == hi:
-                continue
+            if first in self.by_h[self.built[1]]:
+                break       # the top built degree, the last range
             cols = columns[first:first + (1 << _count(self.labels[t]))]
             for t2, sign, images in self._edge_maps(t):
                 offset = self.start[t2]
@@ -206,14 +214,10 @@ class FilteredComplex:
         built so far, ``pivots`` and ``cut_nnz`` the cached cuts' rank and
         the nonzeros of the vectors they eliminated, and ``cleared`` the
         sources they skipped."""
-        hi = self.built[1]
-        nnz = 0
-        for t in self.start:
-            if t.bit_count() - self.n_minus == hi:
-                continue
-            r = _count(self.labels[t])
-            for _, _, images in self._edge_maps(t):
-                nnz += len(images) << r
+        top = self.by_h[self.built[1]]
+        nnz = sum(len(images) << _count(self.labels[t])
+                  for t, first in self.start.items() if first not in top
+                  for _, _, images in self._edge_maps(t))
         cuts = self._cuts.values()
         return {
             "degrees": list(self.built),
@@ -289,8 +293,8 @@ class FilteredComplex:
         """
         by_t = {}
         for i, v in chain.items():
-            by_t.setdefault(self.basis_t[i], []).append(
-                (self.basis_subset[i], v))
+            t, subset = self.generator(i)
+            by_t.setdefault(t, []).append((subset, v))
         out = {}    # t2 -> {subset: coefficient}
         for t, terms in by_t.items():
             for t2, sign, images in self._edge_maps(t):
@@ -361,8 +365,8 @@ class FilteredComplex:
         """
         if not chain:
             raise ZeroClass("the zero chain has no filtration grading")
-        if any(self.basis_h[i] for i in chain):
-            raise NotACycle("chain is not homogeneous of homological degree 0")
+        if not all(i in self.by_h[0] for i in chain):
+            raise NotACycle("chain has a term outside homological degree 0")
         if not self._is_cycle(chain):
             raise NotACycle("chain is not a cycle")
 
@@ -544,11 +548,6 @@ class FilteredComplex:
             coeffs = [c * eps for c in coeffs] + coeffs
         return dict(enumerate(coeffs, self.start[self.diagram.oriented_mask]))
 
-    def _parity_part(self, chain, p):
-        """The terms of ``chain`` whose subset has parity p."""
-        return {i: v for i, v in chain.items()
-                if self.basis_subset[i].bit_count() % 2 == p}
-
     def h_cycle(self, p):
         """The parity piece h_p: the terms of ``canonical_cycle(1)`` whose
         subset s has |s| = p (mod 2).
@@ -559,13 +558,13 @@ class FilteredComplex:
         ``canonical_cycle(-1)`` is (-1)^r (h_0 - h_1) over r circles."""
         if p not in (0, 1):
             raise ValueError("p must be 0 or 1")
-        return self._parity_part(self.canonical_cycle(1), p)
+        return {i: v for i, v in self.canonical_cycle(1).items()
+                if self.generator(i)[1].bit_count() % 2 == p}
 
     def low_generator(self):
         """The parity piece of lower filtration level, as (p, h_p,
-        level); both pieces come from one canonical chain."""
-        g = self.canonical_cycle(1)
-        pieces = [self._parity_part(g, p) for p in (0, 1)]
+        level)."""
+        pieces = [self.h_cycle(p) for p in (0, 1)]
         level, p = min((self.qgr(h), p) for p, h in enumerate(pieces))
         return p, pieces[p], level
 

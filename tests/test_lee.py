@@ -135,6 +135,24 @@ def test_qgr_wrong_degree():
         cx.qgr({i: 1})
 
 
+def test_qgr_refuses_indices_outside_the_build():
+    # a negative index would name a generator counted from the end of the
+    # basis, under a cut key of its own: g with its last term written as
+    # last - dim would get level 2, where g has level 1
+    cx = lee.FilteredComplex(dg.parse_braid([1, -2, 1, -2], 3))
+    g = cx.canonical_cycle(1)
+    last = max(g)
+    alias = {i: v for i, v in g.items() if i != last}
+    alias[last - cx.dim] = g[last]
+    for chain in {-1: 1}, {cx.dim: 1}, alias:
+        with pytest.raises(NotACycle):
+            cx.qgr(chain)
+    for i in -1, cx.dim:
+        with pytest.raises(IndexError):
+            cx.generator(i)
+    assert cx.qgr(g) == 1
+
+
 def test_size_limit():
     # the full cube of T(2, 21) has 2^21 resolutions; degrees -1..0 one
     with pytest.raises(TooLarge, match="resolutions"):
@@ -386,19 +404,18 @@ def test_window_matches_full_cube(braid):
     narrow = lee.FilteredComplex(d)
     assert lee.s2(d) == full.s2()
     assert s2_view(narrow) == s2_view(full)
-    # resolutions in ascending t, the order of the basis
-    assert narrow.basis_t == sorted(narrow.basis_t)
+    # the basis by degree, then by t, then by subset
+    order = [narrow.generator(i) for i in range(narrow.dim)]
+    assert order == sorted(order, key=lambda g: (g[0].bit_count(), g))
     assert narrow.built == (max(-1, full.degrees[0]), 0)
     assert narrow.dim == sum(len(full.by_h.get(h, ())) for h in (-1, 0))
-
-    def generator(cx, i):
-        return cx.basis_t[i], cx.basis_subset[i]
     # its differential is the map from degree -1 into degree 0
     for i in range(narrow.dim):
-        j = full.start[narrow.basis_t[i]] + narrow.basis_subset[i]
-        expected = full.columns[j] if narrow.basis_h[i] == -1 else []
-        assert ([(generator(narrow, row), c) for row, c in narrow.columns[i]]
-                == [(generator(full, row), c) for row, c in expected])
+        t, s = narrow.generator(i)
+        expected = (full.columns[full.start[t] + s]
+                    if i in narrow.by_h.get(-1, ()) else [])
+        assert ([(narrow.generator(row), c) for row, c in narrow.columns[i]]
+                == [(full.generator(row), c) for row, c in expected])
     assert narrow.stats()["nnz"] == sum(map(len, narrow.columns))
 
 
@@ -413,10 +430,11 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
     rejected = 0
     for i in full.by_h[0]:
         image = full.apply_differential({i: 1})
-        j = narrow.start[full.basis_t[i]] + full.basis_subset[i]
+        t, s = full.generator(i)
+        j = narrow.start[t] + s
         if not image:
             continue
-        assert {full.basis_h[row] for row in image} == {1}
+        assert all(row in full.by_h[1] for row in image)
         rejected += 1
         with pytest.raises(NotACycle):
             narrow.qgr({j: 1})
@@ -451,7 +469,7 @@ def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
     # a cycle check out of a degree-0 resolution labels the neighbours
     # its edges split into, once each, and no other
     top = [(t, first) for t, first in cx.start.items()
-           if cx.basis_h[first] == 0]
+           if first in cx.by_h[0]]
     splits = {t | 1 << i for t, _ in top for i in range(d.n_crossings)
               if not (t >> i) & 1
               and max(labels(t | 1 << i)) > max(labels(t))}
@@ -468,8 +486,7 @@ def test_cycles_need_degree_zero_only():
     # the figure eight's s2 complex holds degrees -1..0 of -2..2, the
     # trefoil's degree 0 alone: both give the whole cube's cycles
     def generators(cx, chain):
-        return {(cx.basis_t[i], cx.basis_subset[i]): v
-                for i, v in chain.items()}
+        return {cx.generator(i): v for i, v in chain.items()}
     for d in dg.parse_braid([1, -2, 1, -2], 3), dg.parse_braid([1, 1, 1], 2):
         narrow = lee.FilteredComplex(d)
         full = lee.FilteredComplex(d, whole=True)
@@ -517,11 +534,24 @@ def reference_columns(cx):
 def test_doubled_edge_maps_match_the_per_subset_reference(braid):
     cx = complex_for(*braid)
     assert cx.columns == reference_columns(cx)
-    assert cx.basis_q == [
-        2 * bin(s).count("1") - (max(cx.labels[t]) + 1) - cx.writhe - h
-        for t, s, h in zip(cx.basis_t, cx.basis_subset, cx.basis_h)]
-    assert cx.basis_h == [bin(t).count("1") - cx.n_minus
-                          for t in cx.basis_t]
+    # the layout: each degree one range, the ranges tiling the basis in
+    # ascending h, and q a function of the generator (t, subset)
+    for c in cx, lee.FilteredComplex(cx.diagram):
+        assert sorted(c.by_h) == list(range(c.built[0], c.built[1] + 1))
+        assert [i for h in sorted(c.by_h) for i in c.by_h[h]] == list(
+            range(c.dim))
+        assert all(type(indices) is range for indices in c.by_h.values())
+        assert len(c.basis_q) == c.dim
+        seen = set()
+        for i in range(c.dim):
+            t, s = c.generator(i)
+            r = max(c.labels[t]) + 1
+            h = bin(t).count("1") - c.n_minus
+            assert 0 <= s < 1 << r and c.start[t] + s == i
+            assert i in c.by_h[h]
+            assert c.basis_q[i] == 2 * bin(s).count("1") - r - c.writhe - h
+            seen.add((t, s))
+        assert len(seen) == c.dim
 
 
 def reference_edge_map(d, t, i):
@@ -663,7 +693,8 @@ def test_whole_cube_questions_raise_on_the_s2_complex():
     cx = lee.FilteredComplex(d)
     i = next(i for i in full.by_h[0]
              if len(full.apply_differential({i: 1})) == 4)
-    j = cx.start[full.basis_t[i]] + full.basis_subset[i]
+    t, s = full.generator(i)
+    j = cx.start[t] + s
     for question in (lambda: cx.apply_differential({j: 1}),
                      cx.check_d_squared,
                      lambda: cx.homology_rank(0),
@@ -702,7 +733,8 @@ def test_stats():
         st_ = cx.stats()
         assert st_["nnz"] == sum(len(c) for c in cx.columns)
         assert st_["boundary_cols"] == len(cx.by_h[-1])
-        assert st_["dim"] == len(cx.basis_h)
+        assert st_["dim"] == len(cx.basis_q) == sum(
+            map(len, cx.by_h.values()))
 
 
 def test_stats_report_the_cut_without_building_the_differential():

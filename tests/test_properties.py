@@ -85,17 +85,16 @@ def test_cleared_sources_reduce_to_zero_random_braids(word):
     cx.s2()
     cx.qgr(cx.canonical_cycle(-1))
     whole = lee.FilteredComplex(d, whole=True)
-    index = {(t, s): i for i, (t, s) in
-             enumerate(zip(cx.basis_t, cx.basis_subset))}
+    index = {cx.generator(i): i for i in range(cx.dim)}
     for cut in cx._cuts.values():
         level, ech, zero = cut.level, linalg.Echelon(), set()
         for i in cx.by_h[-1]:
             if cx.basis_q[i] < level or (cx.basis_q[i] - level) % 4:
                 continue
             col = {}
-            for row, c in whole.columns[whole.start[cx.basis_t[i]]
-                                        + cx.basis_subset[i]]:
-                k = index[whole.basis_t[row], whole.basis_subset[row]]
+            t, s = cx.generator(i)
+            for row, c in whole.columns[whole.start[t] + s]:
+                k = index[whole.generator(row)]
                 if cx.basis_q[k] >= level:
                     col[cx.dim * (1 - cx.basis_q[k]) - 1 - k] = c
             if not ech.add(col):
