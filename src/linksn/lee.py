@@ -46,8 +46,11 @@ vectors from the edge maps.  ``FilteredComplex(diagram, whole=True)``
 builds every degree, for the checks of d^2, the q drop and the homology.
 A degree-0 chain is checked to be a cycle on demand, by the edge maps out
 of its own resolutions.  ``dim`` counts the generators built, indexed by
-degree, then t, then subset, so each degree is one range, ``by_h[h]``;
-only q is kept per generator, and ``generator(i)`` bisects for (t, s).
+degree, then t, then subset, so each degree is one range, ``by_h[h]``.
+Nothing is kept per generator: ``generator(i)`` bisects for (t, s), and
+``q(i)`` computes its grading.  An edge's shape gives its target's q0, the
+q of subset 0: a merge keeps the source's q0 and a split lowers it by 2,
+so a cut reads the q of each image term off the edge and the term.
 
 The homology of the whole complex ranks its boundary maps in one sweep,
 in ascending degree, with the twist of Chen and Kerber 2011: a pivot row
@@ -115,7 +118,9 @@ class FilteredComplex:
     rank sweep, computed on each call.  A degree outside the cube is
     empty, so -1..0 is clipped to the cube.  The basis runs by degree,
     then t, then subset: ``by_h[h]`` is a range, ``start[t]`` a first
-    index, ``generator(i)`` gives (t, subset), and ``basis_q`` the q.
+    index, ``generator(i)`` gives (t, subset) and ``q(i)`` its grading.
+    A build keeps ``start`` and ``labels`` per resolution and nothing per
+    generator.
     """
 
     def __init__(self, diagram, whole=False):
@@ -138,7 +143,6 @@ class FilteredComplex:
         # on-demand cycle check has visited
         self.labels = {}
         self.start = {}        # t -> first basis index, for t built
-        self.basis_q = []      # per basis element
         self.by_h = {}         # h -> its range of basis indices
         popcounts = range(lo + self.n_minus, hi + self.n_minus + 1)  # |t|
         # every resolution holds at least one generator
@@ -160,8 +164,6 @@ class FilteredComplex:
                     raise TooLarge(f"{_printable(idx, 'at least ')} "
                                    f"generators in degrees {lo}..{hi} "
                                    f"exceed the budget of {MAX_GENERATORS}")
-                q0 = -r - self.writhe - h
-                self.basis_q += [q0 + 2 * s.bit_count() for s in range(1 << r)]
             self.by_h[h] = range(first, idx)
         self.dim = idx
         self._cuts = {}        # q mod 4 -> the deepest Cut tried, see qgr
@@ -170,15 +172,23 @@ class FilteredComplex:
 
     @cached_property
     def _masks(self):
-        return list(self.start)     # the built resolutions in basis order
+        """The built resolutions in basis order, and their first indices."""
+        return list(self.start), list(self.start.values())
 
     def generator(self, i):
         """Basis element i as (t, subset): the last resolution t whose
         first index is at most i, and the subset of its circles with x."""
         if not 0 <= i < self.dim:
             raise IndexError(f"no basis element {i} in a build of {self.dim}")
-        t = self._masks[bisect.bisect(self._masks, i, key=self.start.get) - 1]
-        return t, i - self.start[t]
+        masks, firsts = self._masks
+        k = bisect.bisect(firsts, i) - 1
+        return masks[k], i - firsts[k]
+
+    def q(self, i):
+        """The q grading of basis element i = (t, s), 2|s| - r_t - w - h."""
+        t, s = self.generator(i)
+        h = t.bit_count() - self.n_minus
+        return 2 * s.bit_count() - _count(self.labels[t]) - self.writhe - h
 
     @cached_property
     def columns(self):
@@ -370,7 +380,7 @@ class FilteredComplex:
         if not self._is_cycle(chain):
             raise NotACycle("chain is not a cycle")
 
-        q_of, dim = self.basis_q, self.dim
+        q_of, dim = {i: self.q(i) for i in chain}, self.dim
         pending = {}    # block q mod 4 -> the highest q its level may have
         for i in chain:
             c = q_of[i] % 4
@@ -402,9 +412,9 @@ class FilteredComplex:
     @cached_property
     def _q_floor(self):
         """The lowest q of a degree-0 generator, a subset 0 of the
-        resolution with the most circles."""
-        return min(self.basis_q[first] for t, first in self.start.items()
-                   if t.bit_count() == self.n_minus)
+        resolution with the most circles: -w less that count."""
+        return -self.writhe - max(_count(self.labels[t]) for t in self.start
+                                  if t.bit_count() == self.n_minus)
 
     def _cut_at(self, level):
         """The degree -1 boundaries of the block q = ``level`` mod 4,
@@ -420,8 +430,13 @@ class FilteredComplex:
         is never made, nor is one that ``_cleared`` names.  The vectors
         are assembled from the edge maps, in index order, one resolution
         at a time.
+
+        No q is stored: a target t2's q0 follows from the source's and
+        the edge's shape, ``_target_q0``.  Image term ``out`` then lies at
+        q0(t2) + 2|out|, so it is kept if |out| >= (level - q0(t2)) / 2,
+        and its key is a per-target base less 2 * dim * |out| + out.
         """
-        q_of, dim = self.basis_q, self.dim
+        dim = self.dim
         cleared = self._cleared(level)
         in_cut = functools.cache(_in_cut)    # for this cut only
         ech = linalg.Echelon()
@@ -430,18 +445,21 @@ class FilteredComplex:
             if t.bit_count() != self.n_minus - 1:
                 continue
             r = _count(self.labels[t])
-            cols = {s: {} for s in in_cut((level - q_of[first]) // 2, r)
+            q0 = 1 - r - self.writhe    # at h = -1
+            cols = {s: {} for s in in_cut((level - q0) // 2, r)
                     if not cleared[first + s]}
             if not cols:
                 continue
             for t2, sign, images in self._edge_maps(t):
-                offset = self.start[t2]
+                q2 = _target_q0(q0, images)
+                least = (level - q2) // 2
+                base = dim * (1 - q2) - 1 - self.start[t2]
                 for image in images:
                     for s, col in cols.items():
-                        row = offset + image[s]
-                        q = q_of[row]
-                        if q >= level:
-                            col[dim * (1 - q) - 1 - row] = sign
+                        out = image[s]
+                        size = out.bit_count()
+                        if size >= least:
+                            col[base - 2 * dim * size - out] = sign
             for col in cols.values():
                 nnz += len(col)
                 ech.add(col)
@@ -457,13 +475,14 @@ class FilteredComplex:
         a kernel vector of the cut (d d = 0).  ``_cut_at`` adds sources in
         ascending index, so the vector's largest index reduces to zero;
         it lies in the target of the highest crossing bit with such a term.
+        A target's q0 is read off the edge's shape, ``_target_q0``.
         The degree -2 labels are not kept, and the walk stops past
         ``MAX_GENERATORS`` generators: any subset of these is sound.
         """
         cleared = bytearray(self.dim)
         if self.n_minus < 2:
             return cleared
-        q_of, start = self.basis_q, self.start
+        start = self.start
         in_cut = functools.cache(_in_cut)    # for this cut only
         budget = MAX_GENERATORS
         for ones in itertools.combinations(range(self.n), self.n_minus - 2):
@@ -473,8 +492,8 @@ class FilteredComplex:
             budget -= 1 << r
             if budget < 0:
                 break
-            # q0 = -r - w + 2 at h = -2
-            pending = in_cut((level + r + self.writhe - 2) // 2, r)
+            q0 = 2 - r - self.writhe    # at h = -2
+            pending = in_cut((level - q0) // 2, r)
             if not pending:
                 continue
             for i in reversed(range(self.n)):
@@ -483,7 +502,7 @@ class FilteredComplex:
                 t2 = t | (1 << i)
                 first = start[t2]
                 images = self._images(src, r, i, t2)
-                least = (level - q_of[first]) // 2    # the least |image|
+                least = (level - _target_q0(q0, images)) // 2  # least |image|
                 left = []
                 for s in pending:
                     top = -1
@@ -558,13 +577,21 @@ class FilteredComplex:
         ``canonical_cycle(-1)`` is (-1)^r (h_0 - h_1) over r circles."""
         if p not in (0, 1):
             raise ValueError("p must be 0 or 1")
-        return {i: v for i, v in self.canonical_cycle(1).items()
-                if self.generator(i)[1].bit_count() % 2 == p}
+        return self._parity_pieces()[p]
+
+    def _parity_pieces(self):
+        """(h_0, h_1), split from one ``canonical_cycle(1)``: a term's
+        subset is its offset from the oriented resolution's first index."""
+        first = self.start[self.diagram.oriented_mask]
+        pieces = ({}, {})
+        for i, v in self.canonical_cycle(1).items():
+            pieces[(i - first).bit_count() % 2][i] = v
+        return pieces
 
     def low_generator(self):
         """The parity piece of lower filtration level, as (p, h_p,
         level)."""
-        pieces = [self.h_cycle(p) for p in (0, 1)]
+        pieces = self._parity_pieces()
         level, p = min((self.qgr(h), p) for p, h in enumerate(pieces))
         return p, pieces[p], level
 
@@ -623,6 +650,13 @@ def _edge_map(r, lo, hi, split):
             image += [out ^ m for out in image]
         images.append(image)
     return images
+
+
+def _target_q0(q0, images):
+    """The q0 (the q of subset 0) of an edge's target, from its source's
+    q0 and its images: a merge has one image and keeps q0, since r drops
+    by 1 as h rises by 1, and a split has two and lowers it by 2."""
+    return q0 + 2 - 2 * len(images)
 
 
 def _in_cut(least, r):

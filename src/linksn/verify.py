@@ -92,9 +92,16 @@ def check_d_squared(rng):
 @_suite("filtration-drop")
 def check_filtration_drop(rng):
     """Every differential matrix entry drops q by exactly 0 or 4: one
-    check per complex, whose failure lists its bad entries."""
+    check per complex, whose failure lists its bad entries.  q is worked
+    out here, not asked of the complex: 2|s| - r - w - h for subset s of
+    each resolution's r circles, in basis order (``start``'s order)."""
     for name, cx in _complexes(whole=True):
-        drops = ((cx.basis_q[col] - cx.basis_q[row], row, col)
+        d, q_of = cx.diagram, []
+        for t in cx.start:
+            r = max(d.circle_labels(t), default=-1) + 1
+            q0 = -r - d.writhe - (t.bit_count() - d.n_minus)
+            q_of += [q0 + 2 * s.bit_count() for s in range(1 << r)]
+        drops = ((q_of[col] - q_of[row], row, col)
                  for col in range(cx.dim) for row, _ in cx.columns[col])
         bad = [f"q drop {drop} at entry ({row}, {col})"
                for drop, row, col in drops if drop not in (0, 4)]

@@ -60,7 +60,7 @@ def test_h_cycles_sum_to_canonical():
             total[k] = total.get(k, 0) + v
         assert {k: v for k, v in total.items() if v} == g
         # each piece is g's part in one q mod 4 block, and the blocks differ
-        blocks = [{cx.basis_q[i] % 4 for i in h} for h in (h0, h1)]
+        blocks = [{cx.q(i) % 4 for i in h} for h in (h0, h1)]
         assert [len(b) for b in blocks] == [1, 1] and blocks[0] != blocks[1]
         r = len(cx.diagram.seifert_circles)
         assert r == strands
@@ -241,18 +241,33 @@ def test_mirror_negates_s2():
         assert 0 <= total <= window
 
 
+def reference_q(cx):
+    """q of every basis element, read off the built resolutions' labels:
+    2|s| - r - w - h over the subsets s of each one's r circles, in basis
+    order."""
+    q_of = []
+    for t in sorted(cx.start, key=cx.start.get):
+        r = max(cx.labels[t], default=-1) + 1
+        h = bin(t).count("1") - cx.n_minus
+        q_of += [2 * bin(s).count("1") - r - cx.writhe - h
+                 for s in range(1 << r)]
+    assert len(q_of) == cx.dim
+    return q_of
+
+
 def reference_qgr(cx, chain):
     """The level scan: the class reaches level j iff the part of the chain
     above j lies in the span of the parts of the boundaries above j."""
     boundaries = [dict(cx.columns[i]) for i in cx.by_h.get(-1, ())]
     if linalg.in_span(boundaries, chain):
         raise ZeroClass("chain is a boundary")
+    q_of = reference_q(cx)
 
     def above(vec, j):
-        return {i: v for i, v in vec.items() if cx.basis_q[i] > j}
+        return {i: v for i, v in vec.items() if q_of[i] > j}
 
-    best = max(cx.basis_q[i] for i in chain)
-    levels = sorted({cx.basis_q[i] for i in cx.by_h[0]}, reverse=True)
+    best = max(q_of[i] for i in chain)
+    levels = sorted({q_of[i] for i in cx.by_h[0]}, reverse=True)
     for j in (j for j in levels if j < best):
         cols = [pb for pb in (above(b, j) for b in boundaries) if pb]
         if not linalg.in_span(cols, above(chain, j)):
@@ -351,7 +366,7 @@ def test_qgr_deepens_the_cut_below_the_chains_top(monkeypatch):
     d = dg.parse_braid(*NP_3S10C_2)
     cx = lee.FilteredComplex(d)
     g = cx.canonical_cycle(1)
-    assert max(cx.basis_q[i] for i in g) == 7
+    assert max(cx.q(i) for i in g) == 7
     built = count_echelons(monkeypatch)
     assert cx.qgr(g) == 3
     # cuts at 7 and 5 leave no residue; the cut at 3 does.  7 and 3 cut
@@ -541,7 +556,6 @@ def test_doubled_edge_maps_match_the_per_subset_reference(braid):
         assert [i for h in sorted(c.by_h) for i in c.by_h[h]] == list(
             range(c.dim))
         assert all(type(indices) is range for indices in c.by_h.values())
-        assert len(c.basis_q) == c.dim
         seen = set()
         for i in range(c.dim):
             t, s = c.generator(i)
@@ -549,9 +563,36 @@ def test_doubled_edge_maps_match_the_per_subset_reference(braid):
             h = bin(t).count("1") - c.n_minus
             assert 0 <= s < 1 << r and c.start[t] + s == i
             assert i in c.by_h[h]
-            assert c.basis_q[i] == 2 * bin(s).count("1") - r - c.writhe - h
+            assert c.q(i) == 2 * bin(s).count("1") - r - c.writhe - h
             seen.add((t, s))
         assert len(seen) == c.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_braids(7))
+def test_an_edges_shape_gives_its_targets_q0(braid):
+    """The cuts and their clearing read a target's q0 off the edge: a
+    merge keeps q0 and a split lowers it by 2."""
+    for cx in (complex_for(*braid),
+               lee.FilteredComplex(dg.parse_braid(*braid))):
+        for t, first in list(cx.start.items()):
+            for t2, _, images in cx._edge_maps(t):
+                if t2 in cx.start:
+                    q0 = cx.q(first)
+                    assert (cx.q(cx.start[t2]) == q0 + 2 - 2 * len(images)
+                            == lee._target_q0(q0, images))
+
+
+def test_window_build_keeps_nothing_per_generator():
+    # the 16-crossing ROADMAP knot
+    d = dg.parse_braid([1, -2, 1, -2, 1, 2, -1, 2, 1, -2, 1, 2, -1, 2, -1, 2],
+                       3)
+    cx = lee.FilteredComplex(d)
+    assert cx.s2() == -2
+    assert (cx.dim, len(cx.start)) == (238412, 12376)
+    kept = {name: len(v) for name, v in vars(cx).items()
+            if hasattr(v, "__len__")}
+    assert max(kept.values()) < cx.dim, kept
 
 
 def reference_edge_map(d, t, i):
@@ -733,8 +774,7 @@ def test_stats():
         st_ = cx.stats()
         assert st_["nnz"] == sum(len(c) for c in cx.columns)
         assert st_["boundary_cols"] == len(cx.by_h[-1])
-        assert st_["dim"] == len(cx.basis_q) == sum(
-            map(len, cx.by_h.values()))
+        assert st_["dim"] == sum(map(len, cx.by_h.values()))
 
 
 def test_stats_report_the_cut_without_building_the_differential():
@@ -748,11 +788,12 @@ def test_stats_report_the_cut_without_building_the_differential():
     # block at q >= its level, projected onto the degree-0 rows there;
     # the cut eliminates all but the cleared ones, at the same rank
     nnz = skipped = rank = cleared = 0
+    q_of = reference_q(cx)
     for level in st_["cut"]:
         projected = {i: {row: c for row, c in cx.columns[i]
-                         if cx.basis_q[row] >= level}
-                     for i in cx.by_h[-1] if cx.basis_q[i] >= level
-                     and (cx.basis_q[i] - level) % 4 == 0}
+                         if q_of[row] >= level}
+                     for i in cx.by_h[-1] if q_of[i] >= level
+                     and (q_of[i] - level) % 4 == 0}
         gone = [i for i, c in enumerate(cx._cleared(level)) if c]
         nnz += sum(len(v) for v in projected.values())
         skipped += sum(len(projected[i]) for i in gone)

@@ -7,7 +7,7 @@ from linksn import calculus as ca
 from linksn import diagram as dg
 from linksn import lee, linalg
 from linksn import verify
-from test_lee import boundary_columns
+from test_lee import boundary_columns, reference_q
 
 braid_words = st.lists(
     st.integers(-2, 2).filter(bool), min_size=1, max_size=6)
@@ -86,17 +86,18 @@ def test_cleared_sources_reduce_to_zero_random_braids(word):
     cx.qgr(cx.canonical_cycle(-1))
     whole = lee.FilteredComplex(d, whole=True)
     index = {cx.generator(i): i for i in range(cx.dim)}
+    q_of = reference_q(cx)
     for cut in cx._cuts.values():
         level, ech, zero = cut.level, linalg.Echelon(), set()
         for i in cx.by_h[-1]:
-            if cx.basis_q[i] < level or (cx.basis_q[i] - level) % 4:
+            if q_of[i] < level or (q_of[i] - level) % 4:
                 continue
             col = {}
             t, s = cx.generator(i)
             for row, c in whole.columns[whole.start[t] + s]:
                 k = index[whole.generator(row)]
-                if cx.basis_q[k] >= level:
-                    col[cx.dim * (1 - cx.basis_q[k]) - 1 - k] = c
+                if q_of[k] >= level:
+                    col[cx.dim * (1 - q_of[k]) - 1 - k] = c
             if not ech.add(col):
                 zero.add(i)
         cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
@@ -159,9 +160,9 @@ def test_filtration_drop_names_the_bad_entry(monkeypatch):
             if name == "trefoil":
                 col = next(i for i in range(cx.dim) if cx.columns[i])
                 row = next(r for r in range(cx.dim)
-                           if cx.basis_q[col] - cx.basis_q[r] not in (0, 4))
+                           if cx.q(col) - cx.q(r) not in (0, 4))
                 cx.columns[col].append((row, 1))
-                drop = cx.basis_q[col] - cx.basis_q[row]
+                drop = cx.q(col) - cx.q(row)
                 bad.append(f"trefoil: q drop {drop} at entry ({row}, {col})")
             yield name, cx
     monkeypatch.setattr(verify, "_complexes", corrupted)
