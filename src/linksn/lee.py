@@ -62,15 +62,28 @@ d^2 is not zero, and the homology check does not assume the d^2 check.
 A resolution's circles are held as labels, ``LinkDiagram.circle_labels``:
 entry i is the circle of edge i, circles numbered by their smallest edge,
 so a resolution with largest label r - 1 has r circles.  The labels of
-every built resolution are memoized on the complex.  An edge map is a
-function of its shape (r, lo, hi, split), read from labels at the
-crossing's edges (``_edge_map``): the source's labels tell a merge of
-circles lo < hi from a split, and only a split labels its target, to
-number its two circles.  Each shape's image table is built once per
-complex, in ``_images``, and shared by the differential, the cuts,
-their clearing and the cycle checks.  Every edge out of the oriented
-resolution merges two Seifert circles, so the cycle check of a
-canonical cycle labels no neighbour.
+every built resolution are memoized on the complex, as bytes.  Two
+neighbouring resolutions differ at one crossing, the locality that
+Bar-Natan's "Fast Khovanov homology computations" (math/0606318) builds
+on.  If the change merges circles lo < hi, the merged labels are the
+other's with hi renamed lo and every label above hi lowered by one: one
+``bytes.translate`` through a 256-byte table per (lo, hi),
+``_merge_table``.  So the build walks its lowest degree, and above it
+only the resolutions that no neighbour one degree below merges into;
+clearing takes the degree -2 labels from degree -1 the same way.  A
+byte caps a label at 255, which is no limit: a resolution of r circles
+holds 2^r generators, so one of more than 20 is over ``MAX_GENERATORS``,
+and every walk is held to the budget before it becomes bytes.
+
+An edge map is a function of its shape (r, lo, hi, split), read from
+labels at the crossing's edges (``_edge_map``): the source's labels tell
+a merge of circles lo < hi from a split, and only a split labels its
+target, to number its two circles.  Each shape's image table is built
+once per complex, in ``_images``, and shared by the differential, the
+cuts, their clearing and the cycle checks; a cut reads the terms it
+keeps of each shape from one table derived from it (``_kept``).  Every
+edge out of the oriented resolution merges two Seifert circles, so the
+cycle check of a canonical cycle labels no neighbour.
 
 A build costs the generators it creates, the sum of 2^r over its
 r-circle resolutions, so that count, not the crossing count, is held to
@@ -137,11 +150,10 @@ class FilteredComplex:
     # -- construction ----------------------------------------------------
 
     def _build(self):
-        d = self.diagram
         lo, hi = self.built
-        # t -> circle_labels(t), for t built and for the neighbours an
-        # on-demand cycle check has visited
-        self.labels = {}
+        # t -> circle labels as bytes, for t built and for the neighbours
+        # an on-demand cycle check has visited
+        self.labels = labels = {}
         self.start = {}        # t -> first basis index, for t built
         self.by_h = {}         # h -> its range of basis indices
         popcounts = range(lo + self.n_minus, hi + self.n_minus + 1)  # |t|
@@ -151,24 +163,51 @@ class FilteredComplex:
             raise TooLarge(f"{_printable(resolutions)} resolutions in "
                            f"degrees {lo}..{hi} exceed the budget of "
                            f"{MAX_GENERATORS} generators")
-        idx = 0
+        idx = most = 0    # most: the most circles of a degree-0 resolution
         for h, k in zip(range(lo, hi + 1), popcounts):
             first = idx    # degree h's range, its resolutions in ascending t
-            for t in sorted(sum(1 << i for i in ones) for ones in
-                            itertools.combinations(range(self.n), k)):
-                self.labels[t] = labels = d.circle_labels(t)
-                r = _count(labels)
+            for t in _ascending(self.n, k):
+                # from a neighbour one degree below, if one merges into t
+                dst = self._resolve(t, t if h > lo else 0)
+                r = _count(dst)
                 self.start[t] = idx
                 idx += 1 << r
                 if idx > MAX_GENERATORS:
                     raise TooLarge(f"{_printable(idx, 'at least ')} "
                                    f"generators in degrees {lo}..{hi} "
                                    f"exceed the budget of {MAX_GENERATORS}")
+                labels[t] = bytes(dst)    # r <= 20 circles, each < 256
+                if not h and r > most:
+                    most = r
             self.by_h[h] = range(first, idx)
         self.dim = idx
+        # the lowest q of a degree-0 generator, a subset 0 of the
+        # resolution with the most circles
+        self._q_floor = -self.writhe - most
         self._cuts = {}        # q mod 4 -> the deepest Cut tried, see qgr
         self._tables = {}      # (r, lo, hi, split) -> images, see _images
         self._cuts_tried = 0
+
+    def _resolve(self, t, flips):
+        """The circle labels of resolution t, from a labelled neighbour's.
+
+        Neighbour t ^ (1 << i) is tried for each bit i of ``flips`` in
+        ascending order.  If its labels show that smoothing crossing i the
+        other way merges two circles, t's labels are the neighbour's with
+        those two merged, ``_merged``, as bytes.  If no neighbour merges,
+        t is walked, ``LinkDiagram.circle_labels``, and its labels come
+        back as a tuple, which the caller checks against the budget before
+        any conversion to bytes.
+        """
+        labels, slot_edges = self.labels, self.diagram.slot_edges
+        while flips:
+            bit = flips & -flips
+            flips ^= bit
+            i4 = 4 * bit.bit_length() - 4
+            dst = _merged(labels[t ^ bit], slot_edges[i4], slot_edges[i4 + 2])
+            if dst is not None:
+                return dst
+        return self.diagram.circle_labels(t)
 
     @cached_property
     def _masks(self):
@@ -187,8 +226,27 @@ class FilteredComplex:
     def q(self, i):
         """The q grading of basis element i = (t, s), 2|s| - r_t - w - h."""
         t, s = self.generator(i)
-        h = t.bit_count() - self.n_minus
-        return 2 * s.bit_count() - _count(self.labels[t]) - self.writhe - h
+        return self._q0(t) + 2 * s.bit_count()
+
+    def _q0(self, t):
+        """The q of subset 0 of built resolution t, -r_t - w - h."""
+        return (self.n_minus - t.bit_count() - _count(self.labels[t])
+                - self.writhe)
+
+    def _by_resolution(self, chain):
+        """The terms of ``chain`` grouped by resolution, t -> [(subset,
+        coefficient)]: the indices are visited in ascending order, so each
+        resolution is found by one bisect."""
+        masks, firsts = self._masks
+        groups, end = {}, 0
+        for i in sorted(chain):
+            if i >= end:
+                k = bisect.bisect(firsts, i) - 1
+                first = firsts[k]
+                end = firsts[k + 1] if k + 1 < len(firsts) else self.dim
+                terms = groups[masks[k]] = []
+            terms.append((i - first, chain[i]))
+        return groups
 
     @cached_property
     def columns(self):
@@ -251,17 +309,15 @@ class FilteredComplex:
             if not (t >> i) & 1:
                 t2 = t | (1 << i)
                 sign = -1 if (t & ((1 << i) - 1)).bit_count() & 1 else 1
-                yield t2, sign, self._images(src, r, i, t2)
+                yield t2, sign, self._images(self._shape(src, r, i, t2))
 
-    def _images(self, src, r, i, t2):
-        """The images of the edge map that smooths crossing i of the
-        resolution with labels ``src`` and r circles, into resolution t2:
-        the table ``_edge_map`` of the edge's shape (r, lo, hi, split),
-        memoized on the complex.  The source smooths crossing i as
-        (a, b), (c, d), so the edge merges circles ``src[a]`` and
-        ``src[c]`` if they differ; if not, it splits that circle, and t2
-        is labelled (and memoized) to find the two circles a and b land
-        on."""
+    def _shape(self, src, r, i, t2):
+        """The shape (r, lo, hi, split) of the edge that smooths crossing
+        i of the resolution with labels ``src`` and r circles, into
+        resolution t2.  The source smooths crossing i as (a, b), (c, d),
+        so the edge merges circles ``src[a]`` and ``src[c]`` if they
+        differ; if not, it splits that circle, and t2 is labelled (and
+        memoized) to find the two circles a and b land on."""
         slot_edges = self.diagram.slot_edges
         a = slot_edges[4 * i]
         lo, hi = src[a], src[slot_edges[4 * i + 2]]
@@ -269,14 +325,18 @@ class FilteredComplex:
         if split:
             dst = self.labels.get(t2)
             if dst is None:
-                dst = self.labels[t2] = self.diagram.circle_labels(t2)
+                dst = self.labels[t2] = bytes(self.diagram.circle_labels(t2))
             lo, hi = dst[a], dst[slot_edges[4 * i + 1]]
         if lo > hi:
             lo, hi = hi, lo
-        key = (r, lo, hi, split)
-        images = self._tables.get(key)
+        return r, lo, hi, split
+
+    def _images(self, shape):
+        """The table ``_edge_map`` of an edge's shape, memoized on the
+        complex."""
+        images = self._tables.get(shape)
         if images is None:
-            images = self._tables[key] = _edge_map(*key)
+            images = self._tables[shape] = _edge_map(*shape)
         return images
 
     # -- chain-level helpers ----------------------------------------------
@@ -293,20 +353,16 @@ class FilteredComplex:
         return not any(self.apply_differential(dict(col))
                        for col in self._whole_differential())
 
-    def _is_cycle(self, chain):
-        """Whether d(chain) = 0.
+    def _is_cycle(self, groups):
+        """Whether d = 0 on a chain given as ``_by_resolution`` groups.
 
         d is applied on demand from the edge maps out of the chain's own
         resolutions, so the check needs no column built: it works in
         every built degree, the top one included.  The image terms are
         summed per target resolution, which is hashed once per edge.
         """
-        by_t = {}
-        for i, v in chain.items():
-            t, subset = self.generator(i)
-            by_t.setdefault(t, []).append((subset, v))
         out = {}    # t2 -> {subset: coefficient}
-        for t, terms in by_t.items():
+        for t, terms in groups.items():
             for t2, sign, images in self._edge_maps(t):
                 acc = out.setdefault(t2, {})
                 for image in images:
@@ -377,14 +433,20 @@ class FilteredComplex:
             raise ZeroClass("the zero chain has no filtration grading")
         if not all(i in self.by_h[0] for i in chain):
             raise NotACycle("chain has a term outside homological degree 0")
-        if not self._is_cycle(chain):
+        groups = self._by_resolution(chain)
+        if not self._is_cycle(groups):
             raise NotACycle("chain is not a cycle")
 
-        q_of, dim = {i: self.q(i) for i in chain}, self.dim
+        dim, start = self.dim, self.start
+        terms = []      # (q, index, coefficient)
+        for t, group in groups.items():
+            q0, first = self._q0(t), start[t]
+            terms += [(q0 + 2 * s.bit_count(), first + s, v)
+                      for s, v in group]
         pending = {}    # block q mod 4 -> the highest q its level may have
-        for i in chain:
-            c = q_of[i] % 4
-            pending[c] = max(pending.get(c, q_of[i]), q_of[i])
+        for q, _, _ in terms:
+            c = q % 4
+            pending[c] = max(pending.get(c, q), q)
         level = None
         while pending:
             c = max(pending, key=pending.get)
@@ -395,8 +457,8 @@ class FilteredComplex:
                 cut = self._cuts[c] = self._cut_at(pending[c])
                 self._cuts_tried += 1
             residue = cut.echelon.reduce(
-                {dim * (1 - q_of[i]) - 1 - i: v for i, v in chain.items()
-                 if q_of[i] >= cut.level and q_of[i] % 4 == c})
+                {dim * (1 - q) - 1 - i: v for q, i, v in terms
+                 if q >= cut.level and q % 4 == c})
             if residue:
                 found = -(min(residue) // dim)
                 level = found if level is None else max(level, found)
@@ -408,13 +470,6 @@ class FilteredComplex:
         if level is None:
             raise ZeroClass("chain is a boundary")
         return level
-
-    @cached_property
-    def _q_floor(self):
-        """The lowest q of a degree-0 generator, a subset 0 of the
-        resolution with the most circles: -w less that count."""
-        return -self.writhe - max(_count(self.labels[t]) for t in self.start
-                                  if t.bit_count() == self.n_minus)
 
     def _cut_at(self, level):
         """The degree -1 boundaries of the block q = ``level`` mod 4,
@@ -428,42 +483,71 @@ class FilteredComplex:
         ascending.  A source's images lie at its own q and 4 below, so a
         source below the cut or in the other block projects to zero and
         is never made, nor is one that ``_cleared`` names.  The vectors
-        are assembled from the edge maps, in index order, one resolution
-        at a time.
+        are added in index order, one resolution at a time.
 
-        No q is stored: a target t2's q0 follows from the source's and
-        the edge's shape, ``_target_q0``.  Image term ``out`` then lies at
-        q0(t2) + 2|out|, so it is kept if |out| >= (level - q0(t2)) / 2,
-        and its key is a per-target base less 2 * dim * |out| + out.
+        No q is stored: what an edge adds to the cut depends only on its
+        shape, so each shape's kept terms are read from one table,
+        ``_kept``, and a column is one comprehension over its
+        resolution's edges.  An edge's sign is the parity of the
+        crossings below it that its source smooths as 1, kept running.
         """
-        dim = self.dim
+        start = self.start
         cleared = self._cleared(level)
         in_cut = functools.cache(_in_cut)    # for this cut only
+        terms = {}      # shape -> _kept's, for this cut only
         ech = linalg.Echelon()
         nnz = 0
-        for t, first in self.start.items():
+        for t, first in start.items():
             if t.bit_count() != self.n_minus - 1:
                 continue
-            r = _count(self.labels[t])
+            src = self.labels[t]
+            r = _count(src)
             q0 = 1 - r - self.writhe    # at h = -1
-            cols = {s: {} for s in in_cut((level - q0) // 2, r)
-                    if not cleared[first + s]}
-            if not cols:
+            subsets = in_cut((level - q0) // 2, r)
+            keep = [s for s in subsets if not cleared[first + s]]
+            if not keep:
                 continue
-            for t2, sign, images in self._edge_maps(t):
-                q2 = _target_q0(q0, images)
-                least = (level - q2) // 2
-                base = dim * (1 - q2) - 1 - self.start[t2]
-                for image in images:
-                    for s, col in cols.items():
-                        out = image[s]
-                        size = out.bit_count()
-                        if size >= least:
-                            col[base - 2 * dim * size - out] = sign
-            for col in cols.values():
+            edges = []    # (key of the target's first row, sign, kept)
+            odd = 0
+            for i in range(self.n):
+                if (t >> i) & 1:
+                    odd ^= 1
+                    continue
+                t2 = t | (1 << i)
+                shape = self._shape(src, r, i, t2)
+                if shape not in terms:
+                    terms[shape] = self._kept(shape, q0, level, subsets)
+                top, kept = terms[shape]
+                edges.append((top - start[t2], -1 if odd else 1, kept))
+            for s in keep:
+                col = {base - term: sign for base, sign, kept in edges
+                       for term in kept[s]}
                 nnz += len(col)
                 ech.add(col)
         return Cut(level, ech, nnz, cleared.count(1))
+
+    def _kept(self, shape, q0, level, subsets):
+        """What an edge of ``shape`` out of a degree -1 source adds to the
+        cut at ``level``, as (top, kept), derived from the shape's image
+        table.  ``_cut_at`` keeps it for the one cut it serves: each cut
+        of a block lies below the last, so no later cut reads it.
+
+        The source's q0 and its ``subsets`` in the cut follow from its r,
+        the shape's first entry, and the level, so they are the same for
+        every edge of one shape in one cut.  The target t2's q0 follows
+        from the source's and the edge's shape, ``_target_q0``, so image
+        term ``out`` lies at q0(t2) + 2|out| and is kept if that is at
+        least ``level``.  ``kept[s]`` lists subset s's kept terms, each as
+        2 * dim * |out| + out, and ``top`` = dim * (1 - q0(t2)) - 1, so
+        the term's row key is top - start[t2] less the term."""
+        images = self._images(shape)
+        q2 = _target_q0(q0, images)
+        least = (level - q2) // 2    # the least |out| kept
+        two_dim = 2 * self.dim
+        return self.dim * (1 - q2) - 1, {
+            s: [two_dim * size + out for image in images
+                for out in (image[s],) if (size := out.bit_count()) >= least]
+            for s in subsets}
 
     def _cleared(self, level):
         """Sources of the cut at ``level`` that reduce to zero in it, as a
@@ -476,18 +560,23 @@ class FilteredComplex:
         ascending index, so the vector's largest index reduces to zero;
         it lies in the target of the highest crossing bit with such a term.
         A target's q0 is read off the edge's shape, ``_target_q0``.
-        The degree -2 labels are not kept, and the walk stops past
+
+        A degree -2 resolution's labels follow from a degree -1
+        neighbour's, like those of ``_build``: if the edge into that
+        neighbour splits a circle, the neighbour's labels, merged back,
+        are the resolution's.  Only a resolution whose every edge merges
+        is walked.  None of these labels is kept, and the walk stops past
         ``MAX_GENERATORS`` generators: any subset of these is sound.
         """
         cleared = bytearray(self.dim)
         if self.n_minus < 2:
             return cleared
-        start = self.start
+        start, every = self.start, (1 << self.n) - 1
         in_cut = functools.cache(_in_cut)    # for this cut only
         budget = MAX_GENERATORS
         for ones in itertools.combinations(range(self.n), self.n_minus - 2):
             t = sum(1 << i for i in ones)
-            src = self.diagram.circle_labels(t)
+            src = self._resolve(t, ~t & every)    # from degree -1
             r = _count(src)
             budget -= 1 << r
             if budget < 0:
@@ -501,7 +590,7 @@ class FilteredComplex:
                     continue
                 t2 = t | (1 << i)
                 first = start[t2]
-                images = self._images(src, r, i, t2)
+                images = self._images(self._shape(src, r, i, t2))
                 least = (level - _target_q0(q0, images)) // 2  # least |image|
                 left = []
                 for s in pending:
@@ -612,6 +701,43 @@ def _printable(n, prefix=""):
 def _count(labels):
     """The number of circles of a resolution given as labels."""
     return max(labels, default=-1) + 1
+
+
+def _ascending(n, k):
+    """The n-bit masks with k ones, in ascending order: each is the next
+    larger mask with k ones after the last (Gosper's hack)."""
+    if k == 0:
+        yield 0
+        return
+    t, end = (1 << k) - 1, 1 << n
+    while t < end:
+        yield t
+        low = t & -t
+        up = t + low
+        t = (((up ^ t) >> 2) // low) | up
+
+
+def _merged(labels, a, c):
+    """The labels after smoothing the other way the crossing whose slots
+    0 and 2 hold edges a and c, if that merges two circles, else None.
+
+    Smoothing 0 pairs slots (0, 1) and (2, 3), smoothing 1 pairs (0, 3)
+    and (1, 2), so either way edges a and c lie on different arcs: on
+    two circles, which the change merges, or on one, which it splits."""
+    lo, hi = labels[a], labels[c]
+    if lo == hi:
+        return None
+    if lo > hi:
+        lo, hi = hi, lo
+    return labels.translate(_merge_table(lo, hi))
+
+
+@functools.cache
+def _merge_table(lo, hi):
+    """The ``bytes.translate`` table that merges circle hi into lo < hi:
+    the merged circle's smallest edge is lo's, so the circles below hi
+    keep their number and those above it move down one."""
+    return bytes(range(hi)) + bytes((lo,)) + bytes(range(hi, 255))
 
 
 def _edge_map(r, lo, hi, split):

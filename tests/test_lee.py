@@ -461,40 +461,86 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
 
 
 def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
-    d = dg.parse_braid([1, -2, 1, -2, 1], 3)
+    d = dg.parse_braid(*NP_3S10C_2)
     calls = []
     labels = d.circle_labels
     monkeypatch.setattr(d, "circle_labels",
                         lambda t: calls.append(t) or labels(t))
+
+    def count(t):
+        return max(labels(t)) + 1
+
+    def merged_from(t, flips):
+        """Whether a neighbour t ^ (1 << i), i a bit of flips, has one
+        circle more than t: its labels give t's."""
+        return any(count(t ^ 1 << i) > count(t)
+                   for i in range(d.n_crossings) if flips >> i & 1)
     cx = lee.FilteredComplex(d)
-    built = len(calls)
-    assert built == cx.stats()["resolutions"]
+    # the build walks its lowest degree, and above it only a resolution
+    # no neighbour one degree below merges into
+    lowest = cx.n_minus - 1
+    walked = [t for t in cx.start
+              if t.bit_count() == lowest or not merged_from(t, t)]
+    assert calls == walked
+    assert 0 < len(walked) < cx.stats()["resolutions"]
+    del calls[:]
     # every edge out of the oriented resolution merges two Seifert
     # circles, which the source's labels show: no neighbour is labelled
     cx.canonical_cycle(1)
     cx.s2()
     cx.low_generator()
-    # each cut tried walks the degree -2 resolutions for clearing, and
-    # keeps none of their labels
-    walked = calls[built:]
-    assert walked and not any(t in cx.labels for t in walked)
-    assert sorted(walked) == sorted(
-        t for t in range(1 << d.n_crossings)
-        if t.bit_count() == cx.n_minus - 2) * cx.stats()["cuts_tried"]
+    # each cut tried walks, for clearing, only the degree -2 resolutions
+    # that split into no degree -1 neighbour, and keeps none of their
+    # labels
+    every = (1 << d.n_crossings) - 1
+    below = [t for t in range(every + 1) if t.bit_count() == lowest - 1]
+    lone = [t for t in below if not merged_from(t, ~t & every)]
+    assert lone and len(lone) < len(below)
+    assert not any(t in cx.labels for t in calls)
+    assert sorted(calls) == sorted(lone * cx.stats()["cuts_tried"])
     # a cycle check out of a degree-0 resolution labels the neighbours
     # its edges split into, once each, and no other
     top = [(t, first) for t, first in cx.start.items()
            if first in cx.by_h[0]]
     splits = {t | 1 << i for t, _ in top for i in range(d.n_crossings)
-              if not (t >> i) & 1
-              and max(labels(t | 1 << i)) > max(labels(t))}
+              if not (t >> i) & 1 and count(t | 1 << i) > count(t)}
     assert splits and not splits & set(cx.start)
     del calls[:]
     for _ in range(2):
         for t, first in top:
-            cx._is_cycle({first: 1})
+            cx._is_cycle(cx._by_resolution({first: 1}))
     assert sorted(calls) == sorted(splits)
     assert all(t in cx.labels for t in splits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_braids(8), st.integers(0, 2))
+def test_merged_labels_match_a_walk(braid, loops):
+    """Both builds: every stored label string is the walk's, and so are
+    the degree -2 labels that clearing takes from degree -1."""
+    d = dg.disjoint_union(dg.unlink(loops), dg.parse_braid(*braid))
+    every = (1 << d.n_crossings) - 1
+    for cx in lee.FilteredComplex(d), lee.FilteredComplex(d, whole=True):
+        cx.s2()     # its cycle checks label the neighbours they split into
+        for t, labels in cx.labels.items():
+            assert type(labels) is bytes
+            assert labels == bytes(d.circle_labels(t))
+        for t in range(every + 1):
+            if t.bit_count() == cx.n_minus - 2:
+                assert (bytes(cx._resolve(t, ~t & every))
+                        == bytes(d.circle_labels(t)))
+
+
+def test_a_walk_past_255_circles_raises_too_large_first():
+    # labels are stored as bytes; a resolution of more than 255 circles
+    # holds over 2^255 generators, so the budget refuses it first
+    d = dg.disjoint_union(dg.parse_braid([1], 2), dg.unlink(300))
+    for whole, degrees in (False, "0..0"), (True, "0..1"):
+        with pytest.raises(TooLarge) as err:
+            lee.FilteredComplex(d, whole=whole)
+        assert str(err.value) == (
+            f"at least 2^302 generators in degrees {degrees} exceed the "
+            f"budget of {lee.MAX_GENERATORS}")
 
 
 def test_cycles_need_degree_zero_only():
