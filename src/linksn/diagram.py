@@ -16,6 +16,7 @@ recomputes them.
 import itertools
 import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -308,7 +309,7 @@ class LinkDiagram:
         return all(self.linking_number(i, j) == 0
                    for i in range(l) for j in range(i + 1, l))
 
-    # -- renumbering and equality ---------------------------------------
+    # -- renumbering ----------------------------------------------------
 
     def canonical(self):
         """Relabel edges 1..2N consecutively along each component, with
@@ -325,10 +326,6 @@ class LinkDiagram:
             key=lambda x: x.edges)
         loops = sorted(relabel[e] for e in self.loops)
         return LinkDiagram(crossings, loops)
-
-    def same_diagram(self, other):
-        a, b = self.canonical(), other.canonical()
-        return a.crossings == b.crossings and a.loops == b.loops
 
     def __repr__(self):
         return (f"LinkDiagram({self.n_crossings} crossings, "
@@ -443,6 +440,8 @@ def parse_braid(word, strands):
 
     if strands < 1:
         raise GeneratorOutOfRange("need at least one strand")
+    if strands > sys.maxsize:
+        raise GeneratorOutOfRange(f"more than {sys.maxsize} strands")
     for g in word:
         if g == 0 or abs(g) >= strands:
             raise GeneratorOutOfRange(
@@ -492,6 +491,9 @@ def torus_link(p, q):
     (sigma_1 ... sigma_{p-1})^q on p strands."""
     if p < 1 or q < 1:
         raise IndexOutOfRange("torus link parameters must be positive")
+    if (p - 1) * q > sys.maxsize:
+        raise IndexOutOfRange(f"T(p, q) has (p - 1) q crossings, more than "
+                              f"{sys.maxsize}")
     word = list(range(1, p)) * q
     return parse_braid(word, p)
 

@@ -47,9 +47,10 @@ builds every degree, for the checks of d^2, the q drop and the homology.
 A degree-0 chain is checked to be a cycle on demand, by the edge maps out
 of its own resolutions.  ``dim`` counts the generators built, indexed by
 degree, then t, then subset, so each degree is one range, ``by_h[h]``.
-Nothing is kept per generator: ``generator(i)`` bisects for (t, s), and
-``q(i)`` computes its grading.  An edge's shape gives its target's q0, the
-q of subset 0: a merge keeps the source's q0 and a split lowers it by 2,
+Nothing is kept or asked per generator: a chain's terms are grouped by
+resolution, one bisect over the first indices each, and a term's q is its
+resolution's q0, the q of subset 0, plus 2|s|.  An edge's shape gives its
+target's q0: a merge keeps the source's q0 and a split lowers it by 2,
 so a cut reads the q of each image term off the edge and the term.
 
 The homology of the whole complex ranks its boundary maps in one sweep,
@@ -97,7 +98,6 @@ once, in O(c), with Euler's formula (``LinkDiagram.check_planar``).
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,9 +130,9 @@ class FilteredComplex:
     raise ``ValueError`` unless ``whole``; the last two read one cleared
     rank sweep, computed on each call.  A degree outside the cube is
     empty, so -1..0 is clipped to the cube.  The basis runs by degree,
-    then t, then subset: ``by_h[h]`` is a range, ``start[t]`` a first
-    index, ``generator(i)`` gives (t, subset) and ``q(i)`` its grading.
-    A build keeps ``start`` and ``labels`` per resolution and nothing per
+    then t, then subset: ``by_h[h]`` is a range and ``start[t]`` a first
+    index, so generator (t, subset) is ``start[t] + subset``.  A build
+    keeps ``start`` and ``labels`` per resolution and nothing per
     generator.
     """
 
@@ -213,20 +213,6 @@ class FilteredComplex:
     def _masks(self):
         """The built resolutions in basis order, and their first indices."""
         return list(self.start), list(self.start.values())
-
-    def generator(self, i):
-        """Basis element i as (t, subset): the last resolution t whose
-        first index is at most i, and the subset of its circles with x."""
-        if not 0 <= i < self.dim:
-            raise IndexError(f"no basis element {i} in a build of {self.dim}")
-        masks, firsts = self._masks
-        k = bisect.bisect(firsts, i) - 1
-        return masks[k], i - firsts[k]
-
-    def q(self, i):
-        """The q grading of basis element i = (t, s), 2|s| - r_t - w - h."""
-        t, s = self.generator(i)
-        return self._q0(t) + 2 * s.bit_count()
 
     def _q0(self, t):
         """The q of subset 0 of built resolution t, -r_t - w - h."""
@@ -497,9 +483,8 @@ class FilteredComplex:
         terms = {}      # shape -> _kept's, for this cut only
         ech = linalg.Echelon()
         nnz = 0
-        for t, first in start.items():
-            if t.bit_count() != self.n_minus - 1:
-                continue
+        for t in _ascending(self.n, self.n_minus - 1):    # degree -1
+            first = start[t]
             src = self.labels[t]
             r = _count(src)
             q0 = 1 - r - self.writhe    # at h = -1
@@ -569,13 +554,10 @@ class FilteredComplex:
         ``MAX_GENERATORS`` generators: any subset of these is sound.
         """
         cleared = bytearray(self.dim)
-        if self.n_minus < 2:
-            return cleared
         start, every = self.start, (1 << self.n) - 1
         in_cut = functools.cache(_in_cut)    # for this cut only
         budget = MAX_GENERATORS
-        for ones in itertools.combinations(range(self.n), self.n_minus - 2):
-            t = sum(1 << i for i in ones)
+        for t in _ascending(self.n, self.n_minus - 2):    # degree -2
             src = self._resolve(t, ~t & every)    # from degree -1
             r = _count(src)
             budget -= 1 << r
@@ -705,9 +687,11 @@ def _count(labels):
 
 def _ascending(n, k):
     """The n-bit masks with k ones, in ascending order: each is the next
-    larger mask with k ones after the last (Gosper's hack)."""
-    if k == 0:
-        yield 0
+    larger mask with k ones after the last (Gosper's hack).  There are
+    none if k < 0."""
+    if k < 1:
+        if k == 0:
+            yield 0
         return
     t, end = (1 << k) - 1, 1 << n
     while t < end:

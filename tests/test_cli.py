@@ -92,6 +92,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                        "--strands", strands)[0] == 2
         err = assert_one_line_error(capsys)
         assert len(err) < 200 and "budget" in err and "2^" in err, err
+    # sizes past an index: no list of that many strands or crossings is
+    # asked for
+    huge = "99999999999999999999999"
+    for args in (("--braid", "1", "--strands", huge), ("--torus", huge, "2"),
+                 ("--torus", "2", huge)):
+        assert run_cli("invariant", *args)[0] == 2
+        assert_one_line_error(capsys)
     # not too large: 20 positive crossings hold 4
     code, report = run_json("invariant", "--torus", "2", "20")
     assert code == 0 and report["s_n"]["2"] == {"exact": -19}

@@ -28,13 +28,13 @@ def test_parse_pd_trefoil():
 
 def test_pd_matches_braid_closure():
     d = dg.parse_pd(RIGHT_TREFOIL_PD)
-    assert d.same_diagram(dg.parse_braid([1, 1, 1], 2))
+    assert dg.serialize_pd(d) == dg.serialize_pd(dg.parse_braid([1, 1, 1], 2))
 
 
 def test_sign_inference_negative():
     d = dg.parse_pd("X[1,3,2,4] Xm[4,2,3,1]")
     assert [x.sign for x in d.crossings] == [-1, -1]
-    assert d.same_diagram(dg.parse_braid([-1, -1], 2))
+    assert dg.serialize_pd(d) == dg.serialize_pd(dg.parse_braid([-1, -1], 2))
 
 
 def test_unknot_token():
@@ -73,13 +73,13 @@ def test_serialize_roundtrip():
               dg.disjoint_union(dg.parse_braid([1, 1], 2), dg.unlink(1)),
               dg.disjoint_union(dg.unknot(), dg.parse_braid([1], 2))):
         text = dg.serialize_pd(d)
-        assert dg.parse_pd(text).same_diagram(d)
+        assert dg.serialize_pd(dg.parse_pd(text)) == dg.serialize_pd(d)
         assert dg.serialize_pd(dg.parse_pd(text)) == text
 
 
 def test_json_roundtrip():
     d = dg.torus_link(2, 4)
-    assert dg.from_json(dg.to_json(d)).same_diagram(d)
+    assert dg.serialize_pd(dg.from_json(dg.to_json(d))) == dg.serialize_pd(d)
 
 
 def test_braid_closure_components():
@@ -112,7 +112,7 @@ def test_writhe_and_mirror():
     m = dg.mirror(t)
     assert m.writhe == -3
     assert (t.n_minus, m.n_minus) == (0, 3)
-    assert dg.mirror(m).same_diagram(t)
+    assert dg.serialize_pd(dg.mirror(m)) == dg.serialize_pd(t)
     # mirror preserves components and the Seifert circle count
     assert m.n_components == 1
     assert len(m.seifert_circles) == len(t.seifert_circles)
@@ -122,7 +122,7 @@ def test_crossing_change():
     t = dg.parse_braid([1, 1, 1], 2)
     c = dg.crossing_change(t, 0)
     assert c.writhe == 1
-    assert dg.crossing_change(c, 0).same_diagram(t)
+    assert dg.serialize_pd(dg.crossing_change(c, 0)) == dg.serialize_pd(t)
     with pytest.raises(IndexOutOfRange):
         dg.crossing_change(t, 3)
 
@@ -176,7 +176,7 @@ def test_sublink():
     assert pair.writhe == 2
     assert pair.linking_number(0, 1) == 1  # a positive Hopf link
     full = dg.sublink(t33, [0, 1, 2])
-    assert full.same_diagram(t33)
+    assert dg.serialize_pd(full) == dg.serialize_pd(t33)
     with pytest.raises(IndexOutOfRange):
         dg.sublink(t24, [5])
 

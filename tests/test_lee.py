@@ -60,7 +60,8 @@ def test_h_cycles_sum_to_canonical():
             total[k] = total.get(k, 0) + v
         assert {k: v for k, v in total.items() if v} == g
         # each piece is g's part in one q mod 4 block, and the blocks differ
-        blocks = [{cx.q(i) % 4 for i in h} for h in (h0, h1)]
+        q_of = reference_q(cx)
+        blocks = [{q_of[i] % 4 for i in h} for h in (h0, h1)]
         assert [len(b) for b in blocks] == [1, 1] and blocks[0] != blocks[1]
         r = len(cx.diagram.seifert_circles)
         assert r == strands
@@ -147,9 +148,6 @@ def test_qgr_refuses_indices_outside_the_build():
     for chain in {-1: 1}, {cx.dim: 1}, alias:
         with pytest.raises(NotACycle):
             cx.qgr(chain)
-    for i in -1, cx.dim:
-        with pytest.raises(IndexError):
-            cx.generator(i)
     assert cx.qgr(g) == 1
 
 
@@ -241,17 +239,27 @@ def test_mirror_negates_s2():
         assert 0 <= total <= window
 
 
-def reference_q(cx):
-    """q of every basis element, read off the built resolutions' labels:
-    2|s| - r - w - h over the subsets s of each one's r circles, in basis
-    order."""
-    q_of = []
+def reference_generators(cx):
+    """(t, subset) of every basis element, in basis order, read off what
+    the build stores: the resolutions in the order of their first
+    indices, ``start``, each with the 2^r subsets of its r circles, read
+    off its ``labels``."""
+    generators = []
     for t in sorted(cx.start, key=cx.start.get):
         r = max(cx.labels[t], default=-1) + 1
+        generators += [(t, s) for s in range(1 << r)]
+    assert len(generators) == cx.dim
+    return generators
+
+
+def reference_q(cx):
+    """q of every basis element, 2|s| - r - w - h for subset s of a
+    resolution of r circles, in basis order."""
+    q_of = []
+    for t, s in reference_generators(cx):
+        r = max(cx.labels[t], default=-1) + 1
         h = bin(t).count("1") - cx.n_minus
-        q_of += [2 * bin(s).count("1") - r - cx.writhe - h
-                 for s in range(1 << r)]
-    assert len(q_of) == cx.dim
+        q_of.append(2 * bin(s).count("1") - r - cx.writhe - h)
     return q_of
 
 
@@ -366,7 +374,8 @@ def test_qgr_deepens_the_cut_below_the_chains_top(monkeypatch):
     d = dg.parse_braid(*NP_3S10C_2)
     cx = lee.FilteredComplex(d)
     g = cx.canonical_cycle(1)
-    assert max(cx.q(i) for i in g) == 7
+    q_of = reference_q(cx)
+    assert max(q_of[i] for i in g) == 7
     built = count_echelons(monkeypatch)
     assert cx.qgr(g) == 3
     # cuts at 7 and 5 leave no residue; the cut at 3 does.  7 and 3 cut
@@ -420,17 +429,17 @@ def test_window_matches_full_cube(braid):
     assert lee.s2(d) == full.s2()
     assert s2_view(narrow) == s2_view(full)
     # the basis by degree, then by t, then by subset
-    order = [narrow.generator(i) for i in range(narrow.dim)]
+    order = reference_generators(narrow)
     assert order == sorted(order, key=lambda g: (g[0].bit_count(), g))
     assert narrow.built == (max(-1, full.degrees[0]), 0)
     assert narrow.dim == sum(len(full.by_h.get(h, ())) for h in (-1, 0))
     # its differential is the map from degree -1 into degree 0
-    for i in range(narrow.dim):
-        t, s = narrow.generator(i)
+    full_order = reference_generators(full)
+    for i, (t, s) in enumerate(order):
         expected = (full.columns[full.start[t] + s]
                     if i in narrow.by_h.get(-1, ()) else [])
-        assert ([(narrow.generator(row), c) for row, c in narrow.columns[i]]
-                == [(full.generator(row), c) for row, c in expected])
+        assert ([(order[row], c) for row, c in narrow.columns[i]]
+                == [(full_order[row], c) for row, c in expected])
     assert narrow.stats()["nnz"] == sum(map(len, narrow.columns))
 
 
@@ -442,10 +451,11 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
     narrow = lee.FilteredComplex(d)
     assert narrow.built == (-1, 0) and 1 not in narrow.by_h
     g = narrow.canonical_cycle(1)
+    generators = reference_generators(full)
     rejected = 0
     for i in full.by_h[0]:
         image = full.apply_differential({i: 1})
-        t, s = full.generator(i)
+        t, s = generators[i]
         j = narrow.start[t] + s
         if not image:
             continue
@@ -547,7 +557,8 @@ def test_cycles_need_degree_zero_only():
     # the figure eight's s2 complex holds degrees -1..0 of -2..2, the
     # trefoil's degree 0 alone: both give the whole cube's cycles
     def generators(cx, chain):
-        return {cx.generator(i): v for i, v in chain.items()}
+        index = reference_generators(cx)
+        return {index[i]: v for i, v in chain.items()}
     for d in dg.parse_braid([1, -2, 1, -2], 3), dg.parse_braid([1, 1, 1], 2):
         narrow = lee.FilteredComplex(d)
         full = lee.FilteredComplex(d, whole=True)
@@ -596,20 +607,19 @@ def test_doubled_edge_maps_match_the_per_subset_reference(braid):
     cx = complex_for(*braid)
     assert cx.columns == reference_columns(cx)
     # the layout: each degree one range, the ranges tiling the basis in
-    # ascending h, and q a function of the generator (t, subset)
+    # ascending h, and each resolution's q0, the q of its subset 0
     for c in cx, lee.FilteredComplex(cx.diagram):
         assert sorted(c.by_h) == list(range(c.built[0], c.built[1] + 1))
         assert [i for h in sorted(c.by_h) for i in c.by_h[h]] == list(
             range(c.dim))
         assert all(type(indices) is range for indices in c.by_h.values())
         seen = set()
-        for i in range(c.dim):
-            t, s = c.generator(i)
+        for i, (t, s) in enumerate(reference_generators(c)):
             r = max(c.labels[t]) + 1
             h = bin(t).count("1") - c.n_minus
             assert 0 <= s < 1 << r and c.start[t] + s == i
             assert i in c.by_h[h]
-            assert c.q(i) == 2 * bin(s).count("1") - r - c.writhe - h
+            assert c._q0(t) == -r - c.writhe - h
             seen.add((t, s))
         assert len(seen) == c.dim
 
@@ -621,11 +631,12 @@ def test_an_edges_shape_gives_its_targets_q0(braid):
     merge keeps q0 and a split lowers it by 2."""
     for cx in (complex_for(*braid),
                lee.FilteredComplex(dg.parse_braid(*braid))):
+        q_of = reference_q(cx)
         for t, first in list(cx.start.items()):
             for t2, _, images in cx._edge_maps(t):
                 if t2 in cx.start:
-                    q0 = cx.q(first)
-                    assert (cx.q(cx.start[t2]) == q0 + 2 - 2 * len(images)
+                    q0 = q_of[first]
+                    assert (q_of[cx.start[t2]] == q0 + 2 - 2 * len(images)
                             == lee._target_q0(q0, images))
 
 
@@ -711,11 +722,26 @@ def test_keyed_edge_maps_give_the_reference_engine(monkeypatch):
         return out
     diagrams = [d for _, d, _ in verify.corpus() if d.n_components]
     diagrams += [dg.parse_braid(*braid) for braid in ENGINE_NONPOSITIVE]
+    tables = []
+    edge_map = lee._edge_map
+
+    def counted(*shape):
+        tables.append(shape)
+        return edge_map(*shape)
+    monkeypatch.setattr(lee, "_edge_map", counted)
     keyed = answers()
-    monkeypatch.setattr(lee.FilteredComplex, "_edge_maps",
-                        reference_edge_maps)
+    assert tables and all(cuts for *_, cuts in keyed[-3:])
+    # every reader of an edge's images (the differential, the cuts, their
+    # clearing and the cycle checks) asks _shape for its key and _images
+    # for its table: keyed by the edge (t, i), each is the reference's
+    del tables[:]
+    monkeypatch.setattr(lee.FilteredComplex, "_shape",
+                        lambda self, src, r, i, t2: (t2 ^ 1 << i, i))
+    monkeypatch.setattr(
+        lee.FilteredComplex, "_images",
+        lambda self, edge: reference_edge_map(self.diagram, *edge))
     assert answers() == keyed
-    assert all(cuts for *_, cuts in keyed[-3:])
+    assert tables == []
 
 
 def merges_or_splits_everywhere(d):
@@ -780,7 +806,7 @@ def test_whole_cube_questions_raise_on_the_s2_complex():
     cx = lee.FilteredComplex(d)
     i = next(i for i in full.by_h[0]
              if len(full.apply_differential({i: 1})) == 4)
-    t, s = full.generator(i)
+    t, s = reference_generators(full)[i]
     j = cx.start[t] + s
     for question in (lambda: cx.apply_differential({j: 1}),
                      cx.check_d_squared,

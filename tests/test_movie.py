@@ -45,7 +45,7 @@ def test_h0_adds_circle():
 def test_h2_needs_free_circle():
     d = mv.apply_move(TREFOIL, mv.Move("H0"))
     back = mv.apply_move(d, mv.Move("H2", edges=d.loops))
-    assert back.same_diagram(TREFOIL)
+    assert dg.serialize_pd(back) == dg.serialize_pd(TREFOIL)
     with pytest.raises(InapplicableMove):
         mv.apply_move(TREFOIL, mv.Move("H2", edges=(1,)))
 
@@ -64,14 +64,14 @@ def test_r1_insert_remove_roundtrip():
         assert lee.s2(d) == -2
         k = d.n_crossings - 1
         back = mv.apply_move(d, mv.Move(kind, crossings=(k,)))
-        assert back.same_diagram(TREFOIL)
+        assert dg.serialize_pd(back) == dg.serialize_pd(TREFOIL)
 
 
 def test_r1_kink_on_circle():
     d = mv.apply_move(dg.unknot(), mv.Move("R1+", edges=(1,)))
     assert d.n_crossings == 1 and d.n_components == 1
     back = mv.apply_move(d, mv.Move("R1+", crossings=(0,)))
-    assert back.same_diagram(dg.unknot())
+    assert dg.serialize_pd(back) == dg.serialize_pd(dg.unknot())
 
 
 def test_r1_wrong_sign():
@@ -87,7 +87,7 @@ def test_r2_insert_remove_roundtrip():
     assert d.writhe == TREFOIL.writhe
     assert lee.s2(d) == -2
     back = mv.apply_move(d, mv.Move("R2", crossings=(3, 4)))
-    assert back.same_diagram(TREFOIL)
+    assert dg.serialize_pd(back) == dg.serialize_pd(TREFOIL)
     # edge 1 passes over a new circle 7 and back: the removal restores
     # every id, whichever order its crossings are listed in
     d = mv.apply_move(mv.apply_move(TREFOIL, mv.Move("H0")),
@@ -128,7 +128,7 @@ def test_r2_on_unlink():
     assert d.n_crossings == 2 and d.n_components == 2
     assert lee.s2(d) == 1
     back = mv.apply_move(d, mv.Move("R2", crossings=(0, 1)))
-    assert back.same_diagram(dg.unlink(2))
+    assert dg.serialize_pd(back) == dg.serialize_pd(dg.unlink(2))
 
 
 def test_r2_removes_an_anti_parallel_bigon():
@@ -158,7 +158,7 @@ def test_r2_removal_keeps_a_strand_that_meets_only_the_bigon():
     # {3, 4}, and the one strand through both becomes a free circle
     d = kinked_unknot("R1-", "R1+")
     d2 = mv.apply_move(d, mv.Move("R2", crossings=(1, 0)))
-    assert d2.same_diagram(dg.unknot())
+    assert dg.serialize_pd(d2) == dg.serialize_pd(dg.unknot())
 
 
 def test_r2_rejects_non_bigon():
@@ -204,7 +204,7 @@ def test_replay_determinism():
     movie = genus1_trefoil_movie()
     l1, l2 = mv.validate_movie(movie), mv.validate_movie(movie)
     assert l1.chi == l2.chi and l1.kinds == l2.kinds
-    assert l1.end.same_diagram(l2.end)
+    assert dg.serialize_pd(l1.end) == dg.serialize_pd(l2.end)
 
 
 def test_chi_additivity():
@@ -563,13 +563,13 @@ def test_annulus_movie_forces_equality():
     led = mv.validate_movie(mv.Movie(TREFOIL, forward))
     assert led.chi == 0
     other = led.end
-    assert not other.same_diagram(TREFOIL)
+    assert dg.serialize_pd(other) != dg.serialize_pd(TREFOIL)
     backward = [mv.Move("R2", crossings=(other.n_crossings - 2,
                                          other.n_crossings - 1)),
                 mv.Move("R1-", crossings=(3,))]
     led_back = mv.validate_movie(mv.Movie(other, backward))
     assert led_back.chi == 0
-    assert led_back.end.same_diagram(TREFOIL)
+    assert dg.serialize_pd(led_back.end) == dg.serialize_pd(TREFOIL)
     assert lee.s2(TREFOIL) == lee.s2(other)
 
 
@@ -586,4 +586,5 @@ def test_movie_file_roundtrip(tmp_path):
     assert loaded.start.crossings == movie.start.crossings
     assert loaded.moves == movie.moves
     l1, l2 = mv.validate_movie(movie), mv.validate_movie(loaded)
-    assert l1.chi == l2.chi and l1.end.same_diagram(l2.end)
+    assert l1.chi == l2.chi
+    assert dg.serialize_pd(l1.end) == dg.serialize_pd(l2.end)

@@ -7,7 +7,7 @@ from linksn import calculus as ca
 from linksn import diagram as dg
 from linksn import lee, linalg
 from linksn import verify
-from test_lee import boundary_columns, reference_q
+from test_lee import boundary_columns, reference_generators, reference_q
 
 braid_words = st.lists(
     st.integers(-2, 2).filter(bool), min_size=1, max_size=6)
@@ -85,7 +85,8 @@ def test_cleared_sources_reduce_to_zero_random_braids(word):
     cx.s2()
     cx.qgr(cx.canonical_cycle(-1))
     whole = lee.FilteredComplex(d, whole=True)
-    index = {cx.generator(i): i for i in range(cx.dim)}
+    generators, rows = reference_generators(cx), reference_generators(whole)
+    index = {g: i for i, g in enumerate(generators)}
     q_of = reference_q(cx)
     for cut in cx._cuts.values():
         level, ech, zero = cut.level, linalg.Echelon(), set()
@@ -93,9 +94,9 @@ def test_cleared_sources_reduce_to_zero_random_braids(word):
             if q_of[i] < level or (q_of[i] - level) % 4:
                 continue
             col = {}
-            t, s = cx.generator(i)
+            t, s = generators[i]
             for row, c in whole.columns[whole.start[t] + s]:
-                k = index[whole.generator(row)]
+                k = index[rows[row]]
                 if q_of[k] >= level:
                     col[cx.dim * (1 - q_of[k]) - 1 - k] = c
             if not ech.add(col):
@@ -158,11 +159,12 @@ def test_filtration_drop_names_the_bad_entry(monkeypatch):
     def corrupted(whole=False):
         for name, cx in complexes(whole):
             if name == "trefoil":
+                q_of = reference_q(cx)
                 col = next(i for i in range(cx.dim) if cx.columns[i])
                 row = next(r for r in range(cx.dim)
-                           if cx.q(col) - cx.q(r) not in (0, 4))
+                           if q_of[col] - q_of[r] not in (0, 4))
                 cx.columns[col].append((row, 1))
-                drop = cx.q(col) - cx.q(row)
+                drop = q_of[col] - q_of[row]
                 bad.append(f"trefoil: q drop {drop} at entry ({row}, {col})")
             yield name, cx
     monkeypatch.setattr(verify, "_complexes", corrupted)
