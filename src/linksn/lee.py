@@ -44,6 +44,9 @@ So ``FilteredComplex(diagram)`` builds only the resolutions with
 |t| - N_minus in -1..0, their circles and the basis, and a cut makes its
 vectors from the edge maps.  ``FilteredComplex(diagram, whole=True)``
 builds every degree, for the checks of d^2, the q drop and the homology.
+Of these only the homology ranks read ``columns``, the differential as
+lists: d^2 is checked one square type at a time and the q drop
+(``verify``) one image table at a time, both from the edge maps.
 A degree-0 chain is checked to be a cycle on demand, by the edge maps out
 of its own resolutions.  ``dim`` counts the generators built, indexed by
 degree, then t, then subset, so each degree is one range, ``by_h[h]``.
@@ -124,12 +127,14 @@ class FilteredComplex:
 
     Both builds answer ``s2``, ``qgr`` and the canonical cycles, whose
     cycle checks apply the differential on demand.  ``columns``, the
-    differential between built degrees, is built on first use.  The
+    differential between built degrees, is built on first use, and only
+    ``apply_differential`` and the homology ranks read it.  The
     questions that read every degree (``apply_differential``,
     ``check_d_squared``, ``homology_rank`` and ``homology_dimension``)
-    raise ``ValueError`` unless ``whole``; the last two read one cleared
-    rank sweep, computed on each call.  A degree outside the cube is
-    empty, so -1..0 is clipped to the cube.  The basis runs by degree,
+    raise ``ValueError`` unless ``whole``; ``check_d_squared`` reads the
+    edge maps one square type at a time, and the last two read one
+    cleared rank sweep, computed on each call.  A degree outside the
+    cube is empty, so -1..0 is clipped to the cube.  The basis runs by degree,
     then t, then subset: ``by_h[h]`` is a range and ``start[t]`` a first
     index, so generator (t, subset) is ``start[t] + subset``.  A build
     keeps ``start`` and ``labels`` per resolution and nothing per
@@ -237,7 +242,9 @@ class FilteredComplex:
     @cached_property
     def columns(self):
         """The differential between built degrees, basis index -> list of
-        (row, coeff), built on first use; ``qgr`` never reads it."""
+        (row, coeff), built on first use.  Of the engine's questions only
+        the homology ranks read it: ``qgr``, the cycle checks and
+        ``check_d_squared`` read the edge maps instead."""
         columns = [[] for _ in range(self.dim)]
         for t, first in self.start.items():
             if first in self.by_h[self.built[1]]:
@@ -250,12 +257,11 @@ class FilteredComplex:
                         col.append((offset + out, sign))
         return columns
 
-    def _whole_differential(self):
-        """``columns``, for the questions that read every degree."""
+    def _check_whole(self):
+        """Refuse a question that reads every degree unless ``whole``."""
         if not self.whole:
             raise ValueError("this question reads every homological degree; "
                              "build FilteredComplex(diagram, whole=True)")
-        return self.columns
 
     def stats(self):
         """Sizes of what was built, and of the cached ``qgr`` cuts.
@@ -328,7 +334,8 @@ class FilteredComplex:
     # -- chain-level helpers ----------------------------------------------
 
     def apply_differential(self, chain):
-        columns = self._whole_differential()
+        self._check_whole()
+        columns = self.columns
         out = {}
         for i, coeff in chain.items():
             for row, c in columns[i]:
@@ -336,8 +343,47 @@ class FilteredComplex:
         return {k: v for k, v in out.items() if v}
 
     def check_d_squared(self):
-        return not any(self.apply_differential(dict(col))
-                       for col in self._whole_differential())
+        """Whether d d = 0, checked one square of the cube at a time, with
+        no column built.
+
+        d d of a generator of resolution t lands in the resolutions
+        t|i|j, each reached by two paths, through t|i and through t|j.
+        Every term along a path has the product of its two edges' signs,
+        so the square cancels if and only if the paths' signs are
+        opposite and they send every subset to the same multiset of
+        subsets.  That multiset depends only on the paths' four image
+        tables, which live in ``_tables`` for the complex's life, one per
+        shape, so each square type is composed once, keyed by the tables'
+        ids.  The edges out of a resolution are read when it is first
+        needed, as a source or as a square's middle, and dropped once it
+        has been a source: the sources run in basis order, so by then
+        every square through it is done."""
+        self._check_whole()
+        edges = {}      # t -> {t2: (sign, images, id(images))}
+        agree = {}      # the ids of a square's four tables, path by path
+                        # -> whether the two paths agree
+
+        def out_of(t):
+            if t not in edges:
+                edges[t] = {t2: (sign, images, id(images))
+                            for t2, sign, images in self._edge_maps(t)}
+            return edges[t]
+        for t in self.start:
+            steps = [(ti, *edge, out_of(ti)) for ti, edge in out_of(t).items()]
+            del edges[t]
+            for k, (ti, si, ai, ka, after_i) in enumerate(steps):
+                for tj, sj, aj, kb, after_j in steps[k + 1:]:
+                    si2, ai2, ka2 = after_i[ti | tj]
+                    sj2, aj2, kb2 = after_j[ti | tj]
+                    if si * si2 == sj * sj2:
+                        return False
+                    key = ka, ka2, kb, kb2
+                    if key not in agree:
+                        agree[key] = (_composite(ai, ai2)
+                                      == _composite(aj, aj2))
+                    if not agree[key]:
+                        return False
+        return True
 
     def _is_cycle(self, groups):
         """Whether d = 0 on a chain given as ``_by_resolution`` groups.
@@ -369,7 +415,8 @@ class FilteredComplex:
         the rank unchanged.  d(R) = 0 is checked, not assumed from
         d d = 0, so the ranks stay exact on a complex whose d^2 is not
         zero, and the homology check does not rest on the d^2 check."""
-        columns = self._whole_differential()
+        self._check_whole()
+        columns = self.columns
         ranks, skip = {}, ()
         for h in range(self.built[0], self.built[1] + 1):
             ech = linalg.Echelon()
@@ -760,6 +807,15 @@ def _edge_map(r, lo, hi, split):
             image += [out ^ m for out in image]
         images.append(image)
     return images
+
+
+def _composite(first, second):
+    """The image table ``second`` after ``first``: for every subset s of
+    the first source's circles, the sorted list of the subsets that the
+    terms of the composed map send s to."""
+    return [sorted(outs) for outs in
+            zip(*([image2[out] for out in image] for image in first
+                  for image2 in second))]
 
 
 def _target_q0(q0, images):

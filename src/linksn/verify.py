@@ -92,19 +92,43 @@ def check_d_squared(rng):
 @_suite("filtration-drop")
 def check_filtration_drop(rng):
     """Every differential matrix entry drops q by exactly 0 or 4: one
-    check per complex, whose failure lists its bad entries.  q is worked
-    out here, not asked of the complex: 2|s| - r - w - h for subset s of
-    each resolution's r circles, in basis order (``start``'s order)."""
+    check per complex, whose failure lists its bad entries in the order
+    ``columns`` holds them.  q is worked out here, not asked of the
+    complex: 2|s| + q0 for subset s of a resolution of r circles, where
+    q0 = -r - w - h.
+
+    The differential is read edge by edge from its image tables
+    (``_edge_maps``), with no column built: an edge from t to t2 that
+    sends subset s to ``out`` drops q by q0(t) - q0(t2) + 2(|s| - |out|),
+    so each table's set of 2(|s| - |out|) is worked out once, and the
+    entries out of a resolution are listed only if one of its edges
+    fails."""
     for name, cx in _complexes(whole=True):
-        d, q_of = cx.diagram, []
-        for t in cx.start:
+        d, start = cx.diagram, cx.start
+        q0 = {}     # t -> -r - w - h
+        for t in start:
             r = max(d.circle_labels(t), default=-1) + 1
-            q0 = -r - d.writhe - (t.bit_count() - d.n_minus)
-            q_of += [q0 + 2 * s.bit_count() for s in range(1 << r)]
-        drops = ((q_of[col] - q_of[row], row, col)
-                 for col in range(cx.dim) for row, _ in cx.columns[col])
-        bad = [f"q drop {drop} at entry ({row}, {col})"
-               for drop, row, col in drops if drop not in (0, 4)]
+            q0[t] = -r - d.writhe - (t.bit_count() - d.n_minus)
+        gaps = {}   # id of one of cx's image tables -> its 2(|s| - |out|)
+        bad = []
+        for t, first in start.items():
+            edges = [(q0[t] - q0[t2], start[t2], images)
+                     for t2, _, images in cx._edge_maps(t)]
+            for _, _, images in edges:
+                if id(images) not in gaps:
+                    gaps[id(images)] = {
+                        2 * (s.bit_count() - out.bit_count())
+                        for image in images for s, out in enumerate(image)}
+            if all(shift + gap in (0, 4) for shift, _, images in edges
+                   for gap in gaps[id(images)]):
+                continue
+            for s in range(len(edges[0][2][0])):    # t's subsets, in order
+                for shift, offset, images in edges:
+                    for out in (image[s] for image in images):
+                        drop = shift + 2 * (s.bit_count() - out.bit_count())
+                        if drop not in (0, 4):
+                            bad.append(f"q drop {drop} at entry "
+                                       f"({offset + out}, {first + s})")
         yield not bad or f"{name}: " + ", ".join(bad)
 
 

@@ -601,6 +601,13 @@ def reference_columns(cx):
     return columns
 
 
+def reference_d_squared(cx):
+    """Whether d d = 0, entry-wise: d applied twice to every generator,
+    read from ``columns``."""
+    return not any(cx.apply_differential(cx.apply_differential({i: 1}))
+                   for i in range(cx.dim))
+
+
 @settings(max_examples=40, deadline=None)
 @given(mixed_braids(7))
 def test_doubled_edge_maps_match_the_per_subset_reference(braid):

@@ -7,7 +7,8 @@ from linksn import calculus as ca
 from linksn import diagram as dg
 from linksn import lee, linalg
 from linksn import verify
-from test_lee import boundary_columns, reference_generators, reference_q
+from test_lee import (boundary_columns, reference_d_squared,
+                      reference_generators, reference_q)
 
 braid_words = st.lists(
     st.integers(-2, 2).filter(bool), min_size=1, max_size=6)
@@ -43,11 +44,30 @@ def test_cleared_ranks_of_corrupted_complexes(word, data):
                                        - ranks.get(h, 0) - ranks.get(h - 1, 0))
 
 
+def image_tables(cx):
+    """The complex's image tables by shape, every one built, as ``stats``
+    builds them, and ``columns`` not."""
+    cx.stats()
+    return cx._tables
+
+
 @settings(max_examples=40, deadline=None)
-@given(braid_words)
-def test_d_squared_random_braids(word):
-    cx = lee.FilteredComplex(dg.parse_braid(word, 3), whole=True)
-    assert cx.check_d_squared()
+@given(braid_words, st.data())
+def test_d_squared_random_braids(word, data):
+    """``check_d_squared`` equals d applied twice to every generator, as
+    built and after one image table entry is flipped."""
+    d = dg.parse_braid(word, 3)
+    cx = lee.FilteredComplex(d, whole=True)
+    assert cx.check_d_squared() and reference_d_squared(cx)
+    broken = lee.FilteredComplex(d, whole=True)
+    tables = image_tables(broken)
+    shape = data.draw(st.sampled_from(sorted(tables)))
+    r, _, _, split = shape
+    image = data.draw(st.sampled_from(tables[shape]))
+    s = data.draw(st.integers(0, len(image) - 1))
+    # a bit below the target's r + 1 or r - 1 circles: in range
+    image[s] ^= 1 << data.draw(st.integers(0, r if split else r - 2))
+    assert broken.check_d_squared() == reference_d_squared(broken)
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,17 +142,23 @@ def test_verify_suites_all_pass():
     assert report["ok"], failures
 
 
-def test_fault_injection_detected():
-    """A corrupted differential must fail the d-squared check."""
-    cx = lee.FilteredComplex(dg.parse_braid([1, 1, 1], 2), whole=True)
-    col = next(i for i in range(cx.dim) if cx.columns[i])
-    row, coeff = cx.columns[col][0]
-    cx.columns[col][0] = (row, coeff + 1)
-    broken = cx.check_d_squared()
-    ok_after_injection = broken
-    # restore to keep the cached object unusable by accident
-    cx.columns[col][0] = (row, coeff)
-    assert not ok_after_injection
+def test_fault_injection_detected(monkeypatch):
+    """A corrupted image table, or edges that lost their signs, must fail
+    the d-squared check."""
+    d = dg.parse_braid([1, 1, 1], 2)
+    cx = lee.FilteredComplex(d, whole=True)
+    assert cx.check_d_squared()
+    tables = image_tables(cx)
+    tables[min(tables)][0][0] ^= 1
+    assert not cx.check_d_squared()
+    assert "columns" not in cx.__dict__
+    assert not reference_d_squared(cx)
+    edge_maps = lee.FilteredComplex._edge_maps
+    monkeypatch.setattr(lee.FilteredComplex, "_edge_maps", lambda self, t: (
+        (t2, 1, images) for t2, _, images in edge_maps(self, t)))
+    unsigned = lee.FilteredComplex(d, whole=True)
+    assert not unsigned.check_d_squared()
+    assert not reference_d_squared(unsigned)
 
 
 def test_known_values_fails_once_per_known_value(monkeypatch):
@@ -153,21 +179,44 @@ def test_crossing_change_without_a_tight_instance_fails(monkeypatch):
 
 
 def test_filtration_drop_names_the_bad_entry(monkeypatch):
+    """One image table entry corrupted in the trefoil's complex: the
+    failure names each entry that drops q by neither 0 nor 4, found
+    entry-wise from ``columns`` and ``reference_q``, in column order."""
     complexes = verify._complexes
     bad = []
 
     def corrupted(whole=False):
         for name, cx in complexes(whole):
             if name == "trefoil":
+                # the split of one circle, on six edges out of degree 1
+                tables = image_tables(cx)
+                tables[min(tables)][0][0] ^= 1
                 q_of = reference_q(cx)
-                col = next(i for i in range(cx.dim) if cx.columns[i])
-                row = next(r for r in range(cx.dim)
-                           if q_of[col] - q_of[r] not in (0, 4))
-                cx.columns[col].append((row, 1))
-                drop = q_of[col] - q_of[row]
-                bad.append(f"trefoil: q drop {drop} at entry ({row}, {col})")
+                bad.extend(f"q drop {q_of[col] - q_of[row]} at entry "
+                           f"({row}, {col})"
+                           for col in range(cx.dim)
+                           for row, _ in cx.columns[col]
+                           if q_of[col] - q_of[row] not in (0, 4))
+                del cx.columns      # the check must not read it
             yield name, cx
     monkeypatch.setattr(verify, "_complexes", corrupted)
     checks, failures = verify.check_filtration_drop()
     assert checks == len(verify.corpus())
-    assert failures == bad and len(bad) == 1
+    assert failures == ["trefoil: " + ", ".join(bad)] and len(bad) == 6
+
+
+def test_whole_cube_checks_build_no_columns(monkeypatch):
+    """The d-squared and filtration-drop suites read the image tables:
+    neither builds ``columns``."""
+    complexes, made = verify._complexes, []
+
+    def recorded(whole=False):
+        for name, cx in complexes(whole):
+            made.append(cx)
+            yield name, cx
+    monkeypatch.setattr(verify, "_complexes", recorded)
+    for suite in ("d-squared", "filtration-drop"):
+        checks, failures = verify.PROPERTIES[suite]()
+        assert checks and not failures
+    assert len(made) == 2 * len(verify.corpus())
+    assert all("columns" not in cx.__dict__ for cx in made)
