@@ -335,6 +335,14 @@ class ConnectSum(LinkExpr):
     i1: int = 0
     i2: int = 0
 
+    def __post_init__(self):
+        for key, i, child in (("i1", self.i1, self.left),
+                              ("i2", self.i2, self.right)):
+            last = child.components() - 1
+            if not 0 <= i <= last:
+                raise InputError(f"{key!r} of a ConnectSum node must lie "
+                                 f"in 0..{last}, not {i}")
+
     def components(self):
         return self.left.components() + self.right.components() - 1
 

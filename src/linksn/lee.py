@@ -43,25 +43,18 @@ cycle depends only on the degree -1 boundaries that land in degree 0.
 So ``FilteredComplex(diagram)`` builds only the resolutions with
 |t| - N_minus in -1..0, their circles and the basis, and a cut makes its
 vectors from the edge maps.  ``FilteredComplex(diagram, whole=True)``
-builds every degree, for the checks of d^2, the q drop and the homology.
-Of these only the homology ranks read ``columns``, the differential as
-lists: d^2 is checked one square type at a time and the q drop
-(``verify``) one image table at a time, both from the edge maps.
-A degree-0 chain is checked to be a cycle on demand, by the edge maps out
-of its own resolutions.  ``dim`` counts the generators built, indexed by
-degree, then t, then subset, so each degree is one range, ``by_h[h]``.
-Nothing is kept or asked per generator: a chain's terms are grouped by
-resolution, one bisect over the first indices each, and a term's q is its
-resolution's q0, the q of subset 0, plus 2|s|.  An edge's shape gives its
+builds every degree, for the checks of d^2, the q drop and the homology,
+each from the edge maps: d^2 one square type at a time, the q drop
+(``verify``) one image table at a time, and the homology ranks one
+degree at a time, in a cleared sweep (``_ranks``).  A degree-0 chain is
+checked to be a cycle on demand, by the edge maps out of its own
+resolutions.  ``dim`` counts the generators built, indexed by degree,
+then t, then subset, so each degree is one range, ``by_h[h]``.  Nothing
+is kept or asked per generator: a chain's terms are grouped by
+resolution, one bisect over the first indices each, and a term's q is
+its resolution's q0, the q of subset 0, plus 2|s|.  An edge's shape gives its
 target's q0: a merge keeps the source's q0 and a split lowers it by 2,
 so a cut reads the q of each image term off the edge and the term.
-
-The homology of the whole complex ranks its boundary maps in one sweep,
-in ascending degree, with the twist of Chen and Kerber 2011: a pivot row
-of the map out of h is a boundary led by one degree h+1 generator, whose
-column in the next map then needs no reduction.  Each such skip is
-checked by applying d to the pivot row, so the ranks are exact even where
-d^2 is not zero, and the homology check does not assume the d^2 check.
 
 A resolution's circles are held as labels, ``LinkDiagram.circle_labels``:
 entry i is the circle of edge i, circles numbered by their smallest edge,
@@ -126,19 +119,16 @@ class FilteredComplex:
     ``whole``.
 
     Both builds answer ``s2``, ``qgr`` and the canonical cycles, whose
-    cycle checks apply the differential on demand.  ``columns``, the
-    differential between built degrees, is built on first use, and only
-    ``apply_differential`` and the homology ranks read it.  The
-    questions that read every degree (``apply_differential``,
-    ``check_d_squared``, ``homology_rank`` and ``homology_dimension``)
-    raise ``ValueError`` unless ``whole``; ``check_d_squared`` reads the
-    edge maps one square type at a time, and the last two read one
-    cleared rank sweep, computed on each call.  A degree outside the
-    cube is empty, so -1..0 is clipped to the cube.  The basis runs by degree,
-    then t, then subset: ``by_h[h]`` is a range and ``start[t]`` a first
-    index, so generator (t, subset) is ``start[t] + subset``.  A build
-    keeps ``start`` and ``labels`` per resolution and nothing per
-    generator.
+    cycle checks apply the differential on demand.  The questions that
+    read every degree, ``check_d_squared``, ``homology_rank`` and
+    ``homology_dimension``, raise ``ValueError`` unless ``whole``; the
+    last two read one cleared rank sweep, computed on each call.  Each
+    reads the edge maps, not ``columns``, a view for the tests and the
+    benchmark harness.  A degree outside the cube is empty, so -1..0 is
+    clipped to the cube.  The basis runs by degree, then t, then subset:
+    ``by_h[h]`` is a range and ``start[t]`` a first index, so generator
+    (t, subset) is ``start[t] + subset``.  A build keeps ``start`` and
+    ``labels`` per resolution and nothing per generator.
     """
 
     def __init__(self, diagram, whole=False):
@@ -242,20 +232,29 @@ class FilteredComplex:
     @cached_property
     def columns(self):
         """The differential between built degrees, basis index -> list of
-        (row, coeff), built on first use.  Of the engine's questions only
-        the homology ranks read it: ``qgr``, the cycle checks and
-        ``check_d_squared`` read the edge maps instead."""
-        columns = [[] for _ in range(self.dim)]
-        for t, first in self.start.items():
-            if first in self.by_h[self.built[1]]:
-                break       # the top built degree, the last range
-            cols = columns[first:first + (1 << _count(self.labels[t]))]
+        (row, coeff): ``_boundaries`` below the top built degree, and []
+        for each top-degree generator.  Only the tests and the benchmark
+        harness read it."""
+        lo, hi = self.built
+        return ([list(vec.items()) for h in range(lo, hi)
+                 for vec in self._boundaries(h)]
+                + [[] for _ in self.by_h[hi]])
+
+    def _boundaries(self, h):
+        """d of every degree-h generator, in basis order, as dicts row ->
+        coefficient, from ``_edge_maps``: by edge in ascending crossing
+        order, then by image.  h lies below the top built degree, or is
+        the whole cube's top, which has no edges."""
+        vectors, start = [], self.start
+        for t in _ascending(self.n, h + self.n_minus):
+            cols = [{} for _ in range(1 << _count(self.labels[t]))]
             for t2, sign, images in self._edge_maps(t):
-                offset = self.start[t2]
+                offset = start[t2]
                 for image in images:
                     for col, out in zip(cols, image):
-                        col.append((offset + out, sign))
-        return columns
+                        col[offset + out] = sign
+            vectors += cols
+        return vectors
 
     def _check_whole(self):
         """Refuse a question that reads every degree unless ``whole``."""
@@ -333,15 +332,6 @@ class FilteredComplex:
 
     # -- chain-level helpers ----------------------------------------------
 
-    def apply_differential(self, chain):
-        self._check_whole()
-        columns = self.columns
-        out = {}
-        for i, coeff in chain.items():
-            for row, c in columns[i]:
-                out[row] = out.get(row, 0) + coeff * c
-        return {k: v for k, v in out.items() if v}
-
     def check_d_squared(self):
         """Whether d d = 0, checked one square of the cube at a time, with
         no column built.
@@ -406,26 +396,27 @@ class FilteredComplex:
     def _ranks(self):
         """The rank of the boundary map out of each degree, by one sweep
         in ascending degree with one echelon per map, cleared (Chen and
-        Kerber 2011).
+        Kerber 2011), holding one degree's vectors, ``_boundaries``.
 
-        A pivot row R of the map out of h is a boundary in degree h+1,
-        led by its smallest index p.  If d(R) = 0, column p of the map
-        out of h+1 is a combination of the columns with larger indices,
-        so it is not added; any set of columns skipped this way leaves
-        the rank unchanged.  d(R) = 0 is checked, not assumed from
-        d d = 0, so the ranks stay exact on a complex whose d^2 is not
-        zero, and the homology check does not rest on the d^2 check."""
+        A pivot row R of the map out of h - 1 is a boundary in degree h,
+        led by its smallest index p.  If d(R) = sum R_i d(e_i), read off
+        degree h's vectors, is 0, vector p is a combination of those
+        with larger indices, so it is not added; any set of vectors
+        skipped this way leaves the rank unchanged.  d(R) = 0 is checked,
+        not assumed from d d = 0, so the ranks stay exact where d^2 is
+        not zero, and the homology check does not rest on the d^2 check."""
         self._check_whole()
-        columns = self.columns
-        ranks, skip = {}, ()
+        ranks, rows = {}, {}
         for h in range(self.built[0], self.built[1] + 1):
+            first, vectors = self.by_h[h].start, self._boundaries(h)
+            skip = {p - first for p, row in rows.items()
+                    if _vanishes(row, vectors, first)}
             ech = linalg.Echelon()
-            for i in self.by_h[h]:
-                if i not in skip:
-                    ech.add(dict(columns[i]))
-            ranks[h] = ech.rank
-            skip = {p for p, row in ech.pivots.items()
-                    if not self.apply_differential(row)}
+            for k, vec in enumerate(vectors):
+                if k not in skip:
+                    ech.add(vec)
+            del vectors     # before the next degree's are built
+            ranks[h], rows = ech.rank, ech.pivots
         return ranks
 
     def homology_rank(self, h):
@@ -816,6 +807,15 @@ def _composite(first, second):
     return [sorted(outs) for outs in
             zip(*([image2[out] for out in image] for image in first
                   for image2 in second))]
+
+
+def _vanishes(row, vectors, first):
+    """Whether the sum of ``row[i] * vectors[i - first]`` is zero."""
+    out = {}
+    for i, c in row.items():
+        for k, v in vectors[i - first].items():
+            out[k] = out.get(k, 0) + c * v
+    return not any(out.values())
 
 
 def _target_q0(q0, images):

@@ -356,6 +356,20 @@ def test_eval_rejects_a_field_of_the_wrong_type(tmp_path, capsys):
         assert_one_line_error(capsys)
 
 
+def test_eval_rejects_a_connect_sum_of_a_missing_component(tmp_path,
+                                                         capsys):
+    # the trefoil and its crossing change are knots: only component 0
+    trefoil = {"type": "EngineDiagram",
+               "pd": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}
+    node = {"type": "ConnectSum", "left": trefoil, "right": {
+        "type": "CrossingChange", "crossing": 0, "child": trefoil}}
+    for key, i in ("i1", 3), ("i2", 1), ("i1", -1):
+        assert run_on_file(tmp_path, "eval",
+                           json.dumps({**node, key: i})) == 2
+        assert f"'{key}' of a ConnectSum node" in assert_one_line_error(capsys)
+    assert run_on_file(tmp_path, "eval", json.dumps(node)) == 0
+
+
 def test_eval_rejects_a_deeply_nested_expression(tmp_path, capsys):
     # the deeper chain overflows inside the JSON parser, the shallower
     # one only in the tree builder

@@ -43,7 +43,7 @@ def test_canonical_cycle_is_cycle():
     cx = complex_for([1, 1, 1], 2)
     for label in (1, -1):
         chain = cx.canonical_cycle(label)
-        assert not cx.apply_differential(chain)
+        assert not reference_d(cx, chain)
     with pytest.raises(ValueError):
         cx.canonical_cycle(2)
 
@@ -106,7 +106,7 @@ def test_qgr_rejects_non_cycles():
     # a lone basis element in h = 0 is generally not a cycle
     bad = None
     for i in cx.by_h[0]:
-        if cx.apply_differential({i: 1}):
+        if reference_d(cx, {i: 1}):
             bad = i
             break
     assert bad is not None
@@ -211,7 +211,7 @@ def test_low_generator():
     cx = complex_for([1, 1, 1], 2)
     p, h, level = cx.low_generator()
     assert p in (0, 1)
-    assert not cx.apply_differential(h)
+    assert not reference_d(cx, h)
     assert level <= cx.qgr(cx.canonical_cycle(1))
 
 
@@ -452,9 +452,10 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
     assert narrow.built == (-1, 0) and 1 not in narrow.by_h
     g = narrow.canonical_cycle(1)
     generators = reference_generators(full)
+    columns = reference_columns(full)
     rejected = 0
     for i in full.by_h[0]:
-        image = full.apply_differential({i: 1})
+        image = apply_columns(columns, {i: 1})
         t, s = generators[i]
         j = narrow.start[t] + s
         if not image:
@@ -601,10 +602,27 @@ def reference_columns(cx):
     return columns
 
 
+def apply_columns(columns, chain):
+    """d of ``chain``, read entry-wise from ``columns``, zeros dropped."""
+    out = {}
+    for i, coeff in chain.items():
+        for row, c in columns[i]:
+            out[row] = out.get(row, 0) + coeff * c
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_d(cx, chain):
+    """d of ``chain`` in the whole complex ``cx``, from the per-subset
+    ``reference_columns``: a cycle oracle apart from the engine's."""
+    return apply_columns(reference_columns(cx), chain)
+
+
 def reference_d_squared(cx):
     """Whether d d = 0, entry-wise: d applied twice to every generator,
-    read from ``columns``."""
-    return not any(cx.apply_differential(cx.apply_differential({i: 1}))
+    read from ``columns``, which a corrupted image table or edge sign
+    changes as it changes the checks."""
+    columns = cx.columns
+    return not any(apply_columns(columns, apply_columns(columns, {i: 1}))
                    for i in range(cx.dim))
 
 
@@ -811,12 +829,7 @@ def test_whole_cube_questions_raise_on_the_s2_complex():
     d = dg.parse_braid([1, -2, 1, -2], 3)      # degrees -2..2
     full = lee.FilteredComplex(d, whole=True)
     cx = lee.FilteredComplex(d)
-    i = next(i for i in full.by_h[0]
-             if len(full.apply_differential({i: 1})) == 4)
-    t, s = reference_generators(full)[i]
-    j = cx.start[t] + s
-    for question in (lambda: cx.apply_differential({j: 1}),
-                     cx.check_d_squared,
+    for question in (cx.check_d_squared,
                      lambda: cx.homology_rank(0),
                      cx.homology_dimension):
         with pytest.raises(ValueError, match="whole=True"):

@@ -25,23 +25,38 @@ def test_homology_dimension_random_braids(word):
 @settings(max_examples=40, deadline=None)
 @given(braid_words, st.data())
 def test_cleared_ranks_of_corrupted_complexes(word, data):
-    """1-3 entries of ``columns`` flipped, doubled or zeroed, which
-    mostly makes d^2 nonzero: each column the sweep skips is checked, so
-    every rank equals the uncleared reference's."""
+    """1-3 corruptions of what the ranks read, each a bit flipped in an
+    image table entry or an edge's sign flipped, doubled or zeroed, which
+    mostly makes d^2 nonzero: each vector the sweep skips is checked, so
+    every rank equals that of the uncleared reference built from the
+    same corrupted complex."""
     cx = lee.FilteredComplex(dg.parse_braid(word, 3), whole=True)
-    entries = [(i, k) for i, col in enumerate(cx.columns)
-               for k in range(len(col))]
-    for i, k in data.draw(st.lists(st.sampled_from(entries), min_size=1,
-                                   max_size=3, unique=True)):
-        row, c = cx.columns[i][k]
-        cx.columns[i][k] = (row, data.draw(st.sampled_from((-c, 2 * c, 0))))
+    tables = image_tables(cx)
+    edges = [(t, t | 1 << i) for t in cx.start for i in range(cx.n)
+             if not (t >> i) & 1]
+    factors = {}    # (t, t2) -> what the edge's sign is multiplied by
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            shape = data.draw(st.sampled_from(sorted(tables)))
+            r, _, _, split = shape
+            image = data.draw(st.sampled_from(tables[shape]))
+            s = data.draw(st.integers(0, len(image) - 1))
+            # a bit below the target's r + 1 or r - 1 circles: in range
+            image[s] ^= 1 << data.draw(st.integers(0, r if split else r - 2))
+        else:
+            edge = data.draw(st.sampled_from(edges))
+            factors[edge] = data.draw(st.sampled_from((-1, 2, 0)))
+    edge_maps = cx._edge_maps
+    cx._edge_maps = lambda t: ((t2, sign * factors.get((t, t2), 1), images)
+                               for t2, sign, images in edge_maps(t))
     lo, hi = cx.degrees
+    got = {h: cx.homology_rank(h) for h in range(lo - 1, hi + 2)}
+    assert "columns" not in cx.__dict__
     ranks = {h: linalg.rank(boundary_columns(cx, h))
              for h in range(lo, hi + 1)}
     assert cx.homology_dimension() == cx.dim - 2 * sum(ranks.values())
-    for h in range(lo - 1, hi + 2):
-        assert cx.homology_rank(h) == (len(cx.by_h.get(h, ()))
-                                       - ranks.get(h, 0) - ranks.get(h - 1, 0))
+    assert got == {h: len(cx.by_h.get(h, ())) - ranks.get(h, 0)
+                   - ranks.get(h - 1, 0) for h in got}
 
 
 def image_tables(cx):
@@ -206,8 +221,8 @@ def test_filtration_drop_names_the_bad_entry(monkeypatch):
 
 
 def test_whole_cube_checks_build_no_columns(monkeypatch):
-    """The d-squared and filtration-drop suites read the image tables:
-    neither builds ``columns``."""
+    """The d-squared, filtration-drop and homology-dimension suites read
+    the edge maps: none builds ``columns``."""
     complexes, made = verify._complexes, []
 
     def recorded(whole=False):
@@ -215,8 +230,9 @@ def test_whole_cube_checks_build_no_columns(monkeypatch):
             made.append(cx)
             yield name, cx
     monkeypatch.setattr(verify, "_complexes", recorded)
-    for suite in ("d-squared", "filtration-drop"):
+    suites = ("d-squared", "filtration-drop", "homology-dimension")
+    for suite in suites:
         checks, failures = verify.PROPERTIES[suite]()
         assert checks and not failures
-    assert len(made) == 2 * len(verify.corpus())
+    assert len(made) == len(suites) * len(verify.corpus())
     assert all("columns" not in cx.__dict__ for cx in made)
