@@ -28,7 +28,8 @@ of its parts' levels.  The pivots above a cut are those of the full
 elimination, so the answer is the same, but no cut reads a row or a
 boundary below it or outside its block, and it skips the sources that
 degree -2 boundaries show to reduce to zero (``_cleared``: one level of
-the clearing of Chen and Kerber 2011, with no degree -2 reduction).
+the clearing of Chen and Kerber 2011, with no degree -2 reduction),
+when finding them visits no more resolutions than the cut adds sources.
 The deepest cut tried in each block is cached on the complex and shared
 by every question asked of it.
 
@@ -48,13 +49,15 @@ each from the edge maps: d^2 one square type at a time, the q drop
 (``verify``) one image table at a time, and the homology ranks one
 degree at a time, in a cleared sweep (``_ranks``).  A degree-0 chain is
 checked to be a cycle on demand, by the edge maps out of its own
-resolutions.  ``dim`` counts the generators built, indexed by degree,
-then t, then subset, so each degree is one range, ``by_h[h]``.  Nothing
-is kept or asked per generator: a chain's terms are grouped by
-resolution, one bisect over the first indices each, and a term's q is
-its resolution's q0, the q of subset 0, plus 2|s|.  An edge's shape gives its
-target's q0: a merge keeps the source's q0 and a split lowers it by 2,
-so a cut reads the q of each image term off the edge and the term.
+resolutions: only a target that two of them share, one per pair that
+differs in two crossings, is kept while the edges are summed.  ``dim``
+counts the generators built, indexed by degree, then t, then subset, so
+each degree is one range, ``by_h[h]``.  Nothing is kept or asked per
+generator: a chain's terms are grouped by resolution, one bisect over
+the first indices each, and a term's q is its resolution's q0, the q of
+subset 0, plus 2|s|.  An edge's shape gives its target's q0: a merge
+keeps the source's q0 and a split lowers it by 2, so a cut reads the q
+of each image term off the edge and the term.
 
 A resolution's circles are held as labels, ``LinkDiagram.circle_labels``:
 entry i is the circle of edge i, circles numbered by their smallest edge,
@@ -75,12 +78,16 @@ and every walk is held to the budget before it becomes bytes.
 An edge map is a function of its shape (r, lo, hi, split), read from
 labels at the crossing's edges (``_edge_map``): the source's labels tell
 a merge of circles lo < hi from a split, and only a split labels its
-target, to number its two circles.  Each shape's image table is built
-once per complex, in ``_images``, and shared by the differential, the
-cuts, their clearing and the cycle checks; a cut reads the terms it
-keeps of each shape from one table derived from it (``_kept``).  Every
-edge out of the oriented resolution merges two Seifert circles, so the
-cycle check of a canonical cycle labels no neighbour.
+target, to number its two circles.  The edges in each crossing's slots
+0, 1 and 2 are one triple per crossing, ``_slots``, and every walk over
+a resolution's edges steps one bit along the crossings and keeps the
+sign running, so each edge takes the same few steps wherever its
+crossing lies.  Each shape's image table is built once per complex, in
+``_images``, and shared by the differential, the cuts, their clearing
+and the cycle checks; a cut reads the terms it keeps of each shape from
+one table derived from it (``_kept``).  Every edge out of the oriented
+resolution merges two Seifert circles, so the cycle check of a
+canonical cycle labels no neighbour.
 
 A build costs the generators it creates, the sum of 2^r over its
 r-circle resolutions, so that count, not the crossing count, is held to
@@ -140,6 +147,10 @@ class FilteredComplex:
         self.n_minus = diagram.n_minus
         self.degrees = (-self.n_minus, self.n - self.n_minus)  # the cube's
         self.built = self.degrees if whole else (max(-1, -self.n_minus), 0)
+        # crossing i -> the edges in its slots 0, 1 and 2, see _shape
+        slot_edges = diagram.slot_edges
+        self._slots = list(zip(slot_edges[0::4], slot_edges[1::4],
+                               slot_edges[2::4]))
         self._build()
 
     # -- construction ----------------------------------------------------
@@ -181,6 +192,7 @@ class FilteredComplex:
         self._q_floor = -self.writhe - most
         self._cuts = {}        # q mod 4 -> the deepest Cut tried, see qgr
         self._tables = {}      # (r, lo, hi, split) -> images, see _images
+        self._subsets = {}     # (least, r) -> subsets, see _in_cut
         self._cuts_tried = 0
 
     def _resolve(self, t, flips):
@@ -194,15 +206,24 @@ class FilteredComplex:
         back as a tuple, which the caller checks against the budget before
         any conversion to bytes.
         """
-        labels, slot_edges = self.labels, self.diagram.slot_edges
+        labels, slots = self.labels, self._slots
         while flips:
             bit = flips & -flips
             flips ^= bit
-            i4 = 4 * bit.bit_length() - 4
-            dst = _merged(labels[t ^ bit], slot_edges[i4], slot_edges[i4 + 2])
+            a, _, c = slots[bit.bit_length() - 1]
+            dst = _merged(labels[t ^ bit], a, c)
             if dst is not None:
                 return dst
         return self.diagram.circle_labels(t)
+
+    @cached_property
+    def _circles_at_minus_one(self):
+        """r -> how many degree -1 resolutions have r circles."""
+        counts = {}
+        for t in _ascending(self.n, self.n_minus - 1):
+            r = _count(self.labels[t])
+            counts[r] = counts.get(r, 0) + 1
+        return counts
 
     @cached_property
     def _masks(self):
@@ -293,14 +314,19 @@ class FilteredComplex:
 
     def _edge_maps(self, t):
         """The cube edges out of built resolution t, as (t2, sign, images),
-        with the images of ``_images``."""
+        with the images of ``_images``, in ascending crossing order.  The
+        sign is (-1) to the number of crossings below the edge's that t
+        smooths as 1, kept running: one bit is stepped per crossing."""
         src = self.labels[t]
         r = _count(src)
+        sign, bit = 1, 1
         for i in range(self.n):
-            if not (t >> i) & 1:
-                t2 = t | (1 << i)
-                sign = -1 if (t & ((1 << i) - 1)).bit_count() & 1 else 1
+            if t & bit:
+                sign = -sign
+            else:
+                t2 = t | bit
                 yield t2, sign, self._images(self._shape(src, r, i, t2))
+            bit <<= 1
 
     def _shape(self, src, r, i, t2):
         """The shape (r, lo, hi, split) of the edge that smooths crossing
@@ -308,16 +334,17 @@ class FilteredComplex:
         resolution t2.  The source smooths crossing i as (a, b), (c, d),
         so the edge merges circles ``src[a]`` and ``src[c]`` if they
         differ; if not, it splits that circle, and t2 is labelled (and
-        memoized) to find the two circles a and b land on."""
-        slot_edges = self.diagram.slot_edges
-        a = slot_edges[4 * i]
-        lo, hi = src[a], src[slot_edges[4 * i + 2]]
+        memoized) to find the two circles a and b land on.  The edges a,
+        b and c are read from the complex's table ``_slots``, one triple
+        per crossing."""
+        a, b, c = self._slots[i]
+        lo, hi = src[a], src[c]
         split = lo == hi
         if split:
             dst = self.labels.get(t2)
             if dst is None:
                 dst = self.labels[t2] = bytes(self.diagram.circle_labels(t2))
-            lo, hi = dst[a], dst[slot_edges[4 * i + 1]]
+            lo, hi = dst[a], dst[b]
         if lo > hi:
             lo, hi = hi, lo
         return r, lo, hi, split
@@ -329,6 +356,15 @@ class FilteredComplex:
         if images is None:
             images = self._tables[shape] = _edge_map(*shape)
         return images
+
+    def _in_cut(self, least, r):
+        """The subsets ``_cut_subsets`` of r circles with |s| >=
+        ``least``, memoized on the complex for its cuts and their
+        clearing, and dropped with it."""
+        subsets = self._subsets.get((least, r))
+        if subsets is None:
+            subsets = self._subsets[least, r] = _cut_subsets(least, r)
+        return subsets
 
     # -- chain-level helpers ----------------------------------------------
 
@@ -380,18 +416,33 @@ class FilteredComplex:
 
         d is applied on demand from the edge maps out of the chain's own
         resolutions, so the check needs no column built: it works in
-        every built degree, the top one included.  The image terms are
-        summed per target resolution, which is hashed once per edge.
+        every built degree, the top one included.  The chain's
+        resolutions t and u lie in one degree, so they share an edge
+        target only if they differ in exactly two crossings, and then it
+        is t | u.  Those shared targets are found once, pair by pair, and
+        their image terms summed across the edges into them.  Every other
+        target has one source, so its terms are summed and checked on the
+        spot and dropped: no key is kept per edge.  Every edge is visited
+        even once a sum is nonzero, so each check labels the same
+        neighbours, whatever its answer.
         """
-        out = {}    # t2 -> {subset: coefficient}
+        masks = list(groups)
+        shared = {t | u for k, t in enumerate(masks) for u in masks[k + 1:]
+                  if (t ^ u).bit_count() == 2}
+        sums = {}   # shared t2 -> {subset: coefficient}
+        zero = True
         for t, terms in groups.items():
             for t2, sign, images in self._edge_maps(t):
-                acc = out.setdefault(t2, {})
+                alone = not shared or t2 not in shared
+                acc = {} if alone else sums.setdefault(t2, {})
                 for image in images:
                     for subset, v in terms:
                         out_s = image[subset]
                         acc[out_s] = acc.get(out_s, 0) + sign * v
-        return not any(v for acc in out.values() for v in acc.values())
+                if alone and any(acc.values()):
+                    zero = False
+        return zero and not any(v for acc in sums.values()
+                                for v in acc.values())
 
     def _ranks(self):
         """The rank of the boundary map out of each degree, by one sweep
@@ -513,11 +564,12 @@ class FilteredComplex:
         shape, so each shape's kept terms are read from one table,
         ``_kept``, and a column is one comprehension over its
         resolution's edges.  An edge's sign is the parity of the
-        crossings below it that its source smooths as 1, kept running.
+        crossings below it that its source smooths as 1, kept running as
+        one bit steps along the crossings, as in ``_edge_maps``; the
+        source's ``_in_cut`` subsets are memoized on the complex.
         """
         start = self.start
         cleared = self._cleared(level)
-        in_cut = functools.cache(_in_cut)    # for this cut only
         terms = {}      # shape -> _kept's, for this cut only
         ech = linalg.Echelon()
         nnz = 0
@@ -526,22 +578,24 @@ class FilteredComplex:
             src = self.labels[t]
             r = _count(src)
             q0 = 1 - r - self.writhe    # at h = -1
-            subsets = in_cut((level - q0) // 2, r)
+            subsets = self._in_cut((level - q0) // 2, r)
             keep = [s for s in subsets if not cleared[first + s]]
             if not keep:
                 continue
             edges = []    # (key of the target's first row, sign, kept)
-            odd = 0
+            sign, bit = 1, 1
             for i in range(self.n):
-                if (t >> i) & 1:
-                    odd ^= 1
-                    continue
-                t2 = t | (1 << i)
-                shape = self._shape(src, r, i, t2)
-                if shape not in terms:
-                    terms[shape] = self._kept(shape, q0, level, subsets)
-                top, kept = terms[shape]
-                edges.append((top - start[t2], -1 if odd else 1, kept))
+                if t & bit:
+                    sign = -sign
+                else:
+                    t2 = t | bit
+                    shape = self._shape(src, r, i, t2)
+                    made = terms.get(shape)
+                    if made is None:
+                        made = terms[shape] = self._kept(shape, q0, level,
+                                                         subsets)
+                    edges.append((made[0] - start[t2], sign, made[1]))
+                bit <<= 1
             for s in keep:
                 col = {base - term: sign for base, sign, kept in edges
                        for term in kept[s]}
@@ -590,10 +644,24 @@ class FilteredComplex:
         are the resolution's.  Only a resolution whose every edge merges
         is walked.  None of these labels is kept, and the walk stops past
         ``MAX_GENERATORS`` generators: any subset of these is sound.
+
+        Clearing is done only when it costs no more than the cut it
+        serves: when the degree -2 resolutions it would visit are no more
+        than the sources the cut would add, counted from the degree -1
+        resolutions' circle counts, ``_circles_at_minus_one``.  Otherwise
+        the mask is all 0.  On an all-negative 2-strand link of c
+        crossings the cut adds at most 2c sources, while clearing would
+        visit all C(c, 2) degree -2 resolutions to skip them.
         """
         cleared = bytearray(self.dim)
+        if self.n_minus < 2:
+            return cleared      # no degree -2
+        sources = sum(k * len(self._in_cut((level - 1 + r + self.writhe) // 2,
+                                           r))
+                      for r, k in self._circles_at_minus_one.items())
+        if math.comb(self.n, self.n_minus - 2) > sources:
+            return cleared
         start, every = self.start, (1 << self.n) - 1
-        in_cut = functools.cache(_in_cut)    # for this cut only
         budget = MAX_GENERATORS
         for t in _ascending(self.n, self.n_minus - 2):    # degree -2
             src = self._resolve(t, ~t & every)    # from degree -1
@@ -602,13 +670,15 @@ class FilteredComplex:
             if budget < 0:
                 break
             q0 = 2 - r - self.writhe    # at h = -2
-            pending = in_cut((level - q0) // 2, r)
+            pending = self._in_cut((level - q0) // 2, r)
             if not pending:
                 continue
+            bit = 1 << self.n
             for i in reversed(range(self.n)):
-                if (t >> i) & 1:
+                bit >>= 1
+                if t & bit:
                     continue
-                t2 = t | (1 << i)
+                t2 = t | bit
                 first = start[t2]
                 images = self._images(self._shape(src, r, i, t2))
                 least = (level - _target_q0(q0, images)) // 2  # least |image|
@@ -720,7 +790,7 @@ def _printable(n, prefix=""):
 
 def _count(labels):
     """The number of circles of a resolution given as labels."""
-    return max(labels, default=-1) + 1
+    return max(labels) + 1 if labels else 0
 
 
 def _ascending(n, k):
@@ -825,7 +895,7 @@ def _target_q0(q0, images):
     return q0 + 2 - 2 * len(images)
 
 
-def _in_cut(least, r):
+def _cut_subsets(least, r):
     """The subsets s of r circles in a cut that keeps |s| >= ``least``, of
     its parity: the subsets with q = q0 + 2|s| at least the cut's level
     and in its q mod 4 block, for least = (level - q0) / 2 rounded down."""

@@ -471,6 +471,24 @@ def test_narrow_cycle_check_reaches_out_of_the_window():
     assert narrow.qgr(g) == full.qgr(full.canonical_cycle(1))
 
 
+def test_a_cycle_may_cancel_only_on_a_shared_target():
+    # sigma_1 sigma_1^-1 on 2 strands: degree 0 holds the resolutions 01
+    # and 10, two crossings apart, each with one edge, into 11.  Subset
+    # 0 of either alone is no cycle; their images cancel on 11
+    d = dg.parse_braid([1, -1], 2)
+    cx = lee.FilteredComplex(d)
+    whole = lee.FilteredComplex(d, whole=True)
+    t, u = cx.start[0b01], cx.start[0b10]
+    assert cx.by_h[0] == range(t, whole.by_h[1].start)
+    assert reference_d(whole, {t: 1, u: 1}) == {}
+    # both terms lie at q = -r - w - h = -2, and no boundary reaches them
+    assert cx.qgr({t: 1, u: 1}) == -2
+    for chain in {t: 1}, {u: 1}, {t: 1, u: 2}, {t: -1, u: 1}:
+        assert reference_d(whole, chain)
+        with pytest.raises(NotACycle):
+            cx.qgr(chain)
+
+
 def test_cycle_checks_memoize_neighbouring_circles(monkeypatch):
     d = dg.parse_braid(*NP_3S10C_2)
     calls = []
@@ -895,3 +913,25 @@ def test_stats_report_the_cut_without_building_the_differential():
     assert st_["pivots"] == rank > 0
     assert st_["cleared"] == cleared > 0
     assert st_["nnz"] == sum(len(c) for c in cx.columns)
+
+
+def test_clearing_is_bounded_by_the_cut(monkeypatch):
+    # the all-negative 2-strand link of 40 crossings: each cut adds at
+    # most 80 sources, and clearing would walk all C(40, 2) = 780 degree
+    # -2 resolutions to skip them, so it clears none; the answer, the
+    # cut levels and the pivots are those of a run that never clears
+    d = dg.parse_braid([-1] * 40, 2)
+
+    def answers():
+        cx = lee.FilteredComplex(d)
+        s2 = cx.s2()
+        cx.low_generator()
+        st_ = cx.stats()
+        return (s2, st_["cut"], st_["pivots"], st_["cleared"],
+                {c: (cut.level, cut.echelon.pivots)
+                 for c, cut in cx._cuts.items()})
+    gated = answers()
+    assert gated[:4] == (39, [40, 38], 2, 0)
+    monkeypatch.setattr(lee.FilteredComplex, "_cleared",
+                        lambda self, level: bytearray(self.dim))
+    assert answers() == gated
