@@ -452,7 +452,8 @@ def expr_from_dict(data):
 
     ``"type"`` names the node class in ``NODES``; each field of the class
     is read from its key and type-checked.  A field with a default may be
-    left out, and a field whose default is None may be null."""
+    left out, and a field whose default is None may be null.  A key that
+    names no field is refused."""
     if not isinstance(data, dict):
         raise InputError(f"an expression node must be a JSON object, "
                          f"not {type(data).__name__}")
@@ -460,13 +461,17 @@ def expr_from_dict(data):
     cls = NODES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise UnevaluableLeaf(f"unknown expression node {kind!r}")
-    args = {}
+    args, keys = {}, {"type"}
     for f in fields(cls):
         key = _KEY.get(f.name, f.name)
+        keys.add(key)
         if key in data:
             args[f.name] = _field_from_json(kind, key, f, data[key])
         elif f.default is MISSING:
             raise InputError(f"{kind} node needs {key!r}")
+    unknown = set(data) - keys
+    if unknown:
+        raise InputError(f"{kind} node has no field {min(unknown)!r}")
     return cls(**args)
 
 

@@ -24,7 +24,8 @@ from . import calculus as ca
 from . import diagram as dg
 from . import movie as mv
 from . import verify
-from .errors import EmptyStart, InputError, LinkError, NotEndingInUnlink
+from .errors import (EmptyStart, InputError, LinkError, NotEndingInUnlink,
+                     TooLarge, UnevaluableLeaf)
 
 MAX_N_VALUES = 1000   # the most values of n one --n range may ask for
 
@@ -157,8 +158,8 @@ def cmd_eval(args):
             refined = ca.refine_with_engine(expr).value
             report["engine_refinement"] = {"n": 2, "exact": refined}
             lines.append(f"engine refinement: s_2 = {refined}")
-        except LinkError:
-            pass
+        except (UnevaluableLeaf, TooLarge):
+            pass    # no diagram to refine, or one over the engine's budget
     return 0, report, lines
 
 

@@ -30,8 +30,7 @@ boundary below it or outside its block, and it skips the sources that
 degree -2 boundaries show to reduce to zero (``_cleared``: one level of
 the clearing of Chen and Kerber 2011, with no degree -2 reduction),
 when finding them visits no more resolutions than the cut adds sources.
-The deepest cut tried in each block is cached on the complex and shared
-by every question asked of it.
+Each cut is built for one residue and dropped before the next is built.
 
 The canonical chain g (Lee; Rasmussen, math/0402131) is built in one
 place, ``canonical_cycle``: a product over the Seifert circles at the
@@ -102,8 +101,8 @@ once, in O(c), with Euler's formula (``LinkDiagram.check_planar``).
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .errors import NotACycle, TooLarge, ZeroClass
@@ -111,12 +110,11 @@ from .errors import NotACycle, TooLarge, ZeroClass
 MAX_GENERATORS = 1 << 20   # the generators one build may create
 
 
-@dataclass
-class Cut:
-    """The degree -1 boundaries of one q mod 4 block above one level,
-    eliminated."""
+class Cut(NamedTuple):
+    """The sizes of one q mod 4 block's degree -1 boundaries above one
+    level, eliminated: what ``stats`` reports of a cut, not its echelon."""
     level: int                  # the lowest q of a degree-0 row kept
-    echelon: object             # linalg.Echelon over the kept rows
+    pivots: int                 # the rank of the vectors eliminated
     nnz: int                    # nonzeros of the vectors eliminated
     cleared: int                # sources skipped, see _cleared
 
@@ -190,7 +188,7 @@ class FilteredComplex:
         # the lowest q of a degree-0 generator, a subset 0 of the
         # resolution with the most circles
         self._q_floor = -self.writhe - most
-        self._cuts = {}        # q mod 4 -> the deepest Cut tried, see qgr
+        self._cuts = {}        # q mod 4 -> the deepest Cut tried, see stats
         self._tables = {}      # (r, lo, hi, split) -> images, see _images
         self._subsets = {}     # (least, r) -> subsets, see _in_cut
         self._cuts_tried = 0
@@ -284,16 +282,16 @@ class FilteredComplex:
                              "build FilteredComplex(diagram, whole=True)")
 
     def stats(self):
-        """Sizes of what was built, and of the cached ``qgr`` cuts.
+        """Sizes of what was built, and of the ``qgr`` cuts.
 
         ``nnz`` counts the entries of ``columns`` without building it: an
         edge out of an r-circle resolution has 2^r terms per image of
         ``_images``, one image if it merges and two if it splits.  ``cut``
-        lists the levels of the cached ``qgr`` cuts, at most one per q
-        mod 4 block, highest first; ``cuts_tried`` counts the echelons
-        built so far, ``pivots`` and ``cut_nnz`` the cached cuts' rank and
-        the nonzeros of the vectors they eliminated, and ``cleared`` the
-        sources they skipped."""
+        lists the levels of the deepest cut tried in each q mod 4 block,
+        highest first; ``cuts_tried`` counts the echelons built so far,
+        ``pivots`` and ``cut_nnz`` those deepest cuts' rank and the
+        nonzeros of the vectors they eliminated, and ``cleared`` the
+        sources they skipped, each kept as a ``Cut``."""
         top = self.by_h[self.built[1]]
         nnz = sum(len(images) << _count(self.labels[t])
                   for t, first in self.start.items() if first not in top
@@ -307,7 +305,7 @@ class FilteredComplex:
             "boundary_cols": len(self.by_h.get(-1, ())),
             "cut": sorted((cut.level for cut in cuts), reverse=True),
             "cuts_tried": self._cuts_tried,
-            "pivots": sum(cut.echelon.rank for cut in cuts),
+            "pivots": sum(cut.pivots for cut in cuts),
             "cut_nnz": sum(cut.nnz for cut in cuts),
             "cleared": sum(cut.cleared for cut in cuts),
         }
@@ -500,9 +498,8 @@ class FilteredComplex:
         next cut is 4 lower; once the cut holds the whole block it means
         the part is a boundary.  The part with the higher pending q is
         asked first, and a part whose pending q cannot beat the level
-        found is not asked.  The deepest cut tried in each block is
-        cached, and a question starts at it if it lies below the part's
-        top q.
+        found is not asked.  Each cut is asked one residue and dropped
+        before the next is built.
         """
         if not chain:
             raise ZeroClass("the zero chain has no filtration grading")
@@ -527,21 +524,18 @@ class FilteredComplex:
             c = max(pending, key=pending.get)
             if level is not None and pending[c] <= level:
                 break
-            cut = self._cuts.get(c)
-            if cut is None or cut.level > pending[c]:
-                cut = self._cuts[c] = self._cut_at(pending[c])
-                self._cuts_tried += 1
-            residue = cut.echelon.reduce(
+            cut = pending[c]
+            residue = self._cut_at(cut).reduce(
                 {dim * (1 - q) - 1 - i: v for q, i, v in terms
-                 if q >= cut.level and q % 4 == c})
+                 if q >= cut and q % 4 == c})
             if residue:
                 found = -(min(residue) // dim)
                 level = found if level is None else max(level, found)
                 del pending[c]
-            elif cut.level <= self._q_floor + 2:
+            elif cut <= self._q_floor + 2:
                 del pending[c]      # the block holds all its rows
             else:
-                pending[c] = cut.level - 4
+                pending[c] = cut - 4
         if level is None:
             raise ZeroClass("chain is a boundary")
         return level
@@ -549,7 +543,8 @@ class FilteredComplex:
     def _cut_at(self, level):
         """The degree -1 boundaries of the block q = ``level`` mod 4,
         projected onto its degree-0 rows with q >= ``level``, as an
-        echelon.
+        echelon.  Its sizes are kept for ``stats`` if it is the block's
+        deepest cut tried, the ``Cut`` of lowest level.
 
         Row i at level q is keyed ``dim * (1 - q) - 1 - i``, so keys run
         by (q, index) descending and every pivot is a highest-q term.
@@ -601,7 +596,10 @@ class FilteredComplex:
                        for term in kept[s]}
                 nnz += len(col)
                 ech.add(col)
-        return Cut(level, ech, nnz, cleared.count(1))
+        self._cuts_tried += 1
+        cut = Cut(level, ech.rank, nnz, cleared.count(1))
+        self._cuts[level % 4] = min(cut, self._cuts.get(level % 4, cut))
+        return ech
 
     def _kept(self, shape, q0, level, subsets):
         """What an edge of ``shape`` out of a degree -1 source adds to the

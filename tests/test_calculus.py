@@ -302,6 +302,16 @@ def test_a_missing_or_mistyped_field_exits_2(tmp_path, capsys):
                 assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_key_that_names_no_field_exits_2(tmp_path, capsys):
+    # "i_1" is no key of a ConnectSum: read as absent it would build the
+    # sum at component 0.  The field "diagram" is written as "pd"
+    for kind, node in node_samples().items():
+        for key in "i_1", "diagram":
+            assert eval_exit_code(tmp_path, {**node, key: 3}) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {kind} node has no field {key!r}\n"
+
+
 def test_component_counts():
     e = ca.DisjointUnion([ca.PositiveDiagram(HOPF), ca.Unknot()])
     assert e.components() == 3

@@ -370,6 +370,24 @@ def test_eval_rejects_a_connect_sum_of_a_missing_component(tmp_path,
     assert run_on_file(tmp_path, "eval", json.dumps(node)) == 0
 
 
+def test_eval_rejects_a_crossing_change_of_a_missing_crossing(tmp_path,
+                                                              capsys):
+    # the interval needs no crossing, but the engine refinement realizes
+    # the change, so a crossing the trefoil lacks exits 2, not 0 unrefined
+    trefoil = {"type": "EngineDiagram",
+               "pd": "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"}
+    for crossing in 7, -1:
+        node = {"type": "CrossingChange", "crossing": crossing,
+                "child": trefoil}
+        assert run_on_file(tmp_path, "eval", json.dumps(node)) == 2
+        assert "no crossing" in assert_one_line_error(capsys)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"type": "CrossingChange", "crossing": 1,
+                                "child": trefoil}))
+    code, report = run_json("eval", "--expr", str(path))
+    assert code == 0 and report["engine_refinement"] == {"n": 2, "exact": 0}
+
+
 def test_eval_rejects_a_deeply_nested_expression(tmp_path, capsys):
     # the deeper chain overflows inside the JSON parser, the shallower
     # one only in the tree builder

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -350,6 +352,19 @@ def count_echelons(monkeypatch):
     return built
 
 
+def spy_cuts(cx):
+    """Record each cut that ``cx._cut_at`` builds, as (level, echelon)."""
+    cuts = []
+    cut_at = cx._cut_at
+
+    def spied(level):
+        ech = cut_at(level)
+        cuts.append((level, ech))
+        return ech
+    cx._cut_at = spied
+    return cuts
+
+
 def test_one_echelon_per_cut_tried(monkeypatch):
     cx = complex_for([1, -2, 1, -2, 1], 3)
     assert cx.by_h[-1]
@@ -357,14 +372,27 @@ def test_one_echelon_per_cut_tried(monkeypatch):
     cx.s2()
     assert len(built) == cx.stats()["cuts_tried"] >= 1
     cx.low_generator()
-    tried = cx.stats()["cuts_tried"]
-    assert len(built) == tried
-    # the cached cut answers every question whose level lies at or above it
     for label in (1, -1):
         cx.qgr(cx.canonical_cycle(label))
+    assert len(built) == cx.stats()["cuts_tried"]
+
+
+def test_no_echelon_outlives_its_cut(monkeypatch):
+    # each cut is dropped once its residue is read, before the next cut
+    # is built, and the complex keeps none of them
+    cx = lee.FilteredComplex(dg.parse_braid(*NP_3S10C_2))
+    refs = []
+    init = linalg.Echelon.__init__
+
+    def tracked(self):
+        assert all(ref() is None for ref in refs)
+        refs.append(weakref.ref(self))
+        init(self)
+    monkeypatch.setattr(linalg.Echelon, "__init__", tracked)
+    assert cx.s2() == 2
     cx.low_generator()
-    cx.s2()
-    assert len(built) == cx.stats()["cuts_tried"] == tried
+    assert len(refs) == cx.stats()["cuts_tried"] > 3
+    assert all(ref() is None for ref in refs)
 
 
 NP_3S10C_2 = ([-1, 2, -1, -2, 2, -2, -1, 1, -2, -1], 3)
@@ -383,7 +411,7 @@ def test_qgr_deepens_the_cut_below_the_chains_top(monkeypatch):
     assert len(built) == 3
     assert {k: cx.stats()[k] for k in ("cut", "cuts_tried")} == {
         "cut": [5, 3], "cuts_tried": 3}
-    assert cx.s2() == 2 and len(built) == 3
+    assert cx.s2() == 2 and cx.stats()["cut"] == [5, 3]
     monkeypatch.undo()
     assert reference_qgr(cx, g) == 3
 
@@ -759,9 +787,9 @@ def test_keyed_edge_maps_give_the_reference_engine(monkeypatch):
         out = []
         for d in diagrams:
             cx = lee.FilteredComplex(d)
+            cuts = spy_cuts(cx)
             out.append((cx.s2(), cx.low_generator(), cx.stats(),
-                        {c: (cut.level, cut.echelon.pivots)
-                         for c, cut in cx._cuts.items()}))
+                        [(level, ech.pivots) for level, ech in cuts]))
         return out
     diagrams = [d for _, d, _ in verify.corpus() if d.n_components]
     diagrams += [dg.parse_braid(*braid) for braid in ENGINE_NONPOSITIVE]
@@ -924,12 +952,12 @@ def test_clearing_is_bounded_by_the_cut(monkeypatch):
 
     def answers():
         cx = lee.FilteredComplex(d)
+        cuts = spy_cuts(cx)
         s2 = cx.s2()
         cx.low_generator()
         st_ = cx.stats()
         return (s2, st_["cut"], st_["pivots"], st_["cleared"],
-                {c: (cut.level, cut.echelon.pivots)
-                 for c, cut in cx._cuts.items()})
+                [(level, ech.pivots) for level, ech in cuts])
     gated = answers()
     assert gated[:4] == (39, [40, 38], 2, 0)
     monkeypatch.setattr(lee.FilteredComplex, "_cleared",

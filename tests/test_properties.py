@@ -8,7 +8,7 @@ from linksn import diagram as dg
 from linksn import lee, linalg
 from linksn import verify
 from test_lee import (boundary_columns, reference_d_squared,
-                      reference_generators, reference_q)
+                      reference_generators, reference_q, spy_cuts)
 
 braid_words = st.lists(
     st.integers(-2, 2).filter(bool), min_size=1, max_size=6)
@@ -112,19 +112,21 @@ def test_mirror_window_random_braids(word):
 @given(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=8)
        .filter(lambda word: sum(g < 0 for g in word) >= 2))
 def test_cleared_sources_reduce_to_zero_random_braids(word):
-    """Every cached cut, eliminated again from the whole complex's
-    columns with no source skipped: each cleared source reduces to zero
-    there, and the echelons are the same."""
+    """Every cut built, eliminated again from the whole complex's columns
+    with no source skipped: each cleared source reduces to zero there,
+    and the echelons are the same."""
     d = dg.parse_braid(word, 4)
     cx = lee.FilteredComplex(d)
+    cuts = spy_cuts(cx)
     cx.s2()
     cx.qgr(cx.canonical_cycle(-1))
     whole = lee.FilteredComplex(d, whole=True)
     generators, rows = reference_generators(cx), reference_generators(whole)
     index = {g: i for i, g in enumerate(generators)}
     q_of = reference_q(cx)
-    for cut in cx._cuts.values():
-        level, ech, zero = cut.level, linalg.Echelon(), set()
+    deepest = {cut.level: cut for cut in cx._cuts.values()}
+    for level, built in cuts:
+        ech, zero = linalg.Echelon(), set()
         for i in cx.by_h[-1]:
             if q_of[i] < level or (q_of[i] - level) % 4:
                 continue
@@ -137,8 +139,11 @@ def test_cleared_sources_reduce_to_zero_random_braids(word):
             if not ech.add(col):
                 zero.add(i)
         cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
-        assert cleared <= zero and cut.cleared == len(cleared)
-        assert cut.echelon.pivots == ech.pivots
+        assert cleared <= zero
+        assert built.pivots == ech.pivots
+        if level in deepest:
+            assert deepest[level].pivots == ech.rank
+            assert deepest[level].cleared == len(cleared)
 
 
 @settings(max_examples=20, deadline=None)
