@@ -11,7 +11,8 @@ string per line.  ``main`` prints the report under ``--json`` and the
 lines otherwise, in one place; a reader that has closed the output
 leaves the exit code as it was.  The parser is built once per process,
 on first use, since callers such as the benchmark harness call ``main``
-many times in one process.
+many times in one process.  An argument error prints one line,
+``error: <message>``, and exits 2, as every other input error does.
 """
 
 import argparse
@@ -204,9 +205,17 @@ def cmd_verify(args):
     return (0 if report["ok"] else 1), report, lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints an argument error without the usage text; subparsers are
+    made of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linksn",
         description="Concordance invariants s_n of links, genus and "
                     "splitting bounds, and cobordism certificates.")

@@ -47,18 +47,6 @@ class Crossing:
     def over_out(self):
         return self.b if self.sign > 0 else self.d
 
-    def smoothing(self, t):
-        """Edge pairings of the two smoothings, indexed by the cube
-        coordinate t.  The oriented smoothing is t=0 for a positive
-        crossing and t=1 for a negative one."""
-        if t == 0:
-            return ((self.a, self.b), (self.c, self.d))
-        return ((self.a, self.d), (self.b, self.c))
-
-    @property
-    def oriented_t(self):
-        return 0 if self.sign > 0 else 1
-
 
 def _crossing_from_strands(under_in, under_out, over_in, over_out, sign):
     """Assemble the counterclockwise PD tuple from strand data."""
@@ -235,8 +223,9 @@ class LinkDiagram:
     def _walk(self):
         """Per edge index, one of its slots (None for a loop); and per
         smoothing t, the step from slot s: across crossing s // 4 to the
-        slot that ``Crossing.smoothing(t)`` pairs with s, s ^ 1 for t = 0
-        and s ^ 3 for t = 1, then along that slot's edge to its other end."""
+        slot that smoothing t pairs with s, then along that slot's edge to
+        its other end.  Smoothing 0 pairs edges (a, b) and (c, d), slots
+        s ^ 1; smoothing 1 pairs (a, d) and (b, c), slots s ^ 3."""
         other = self._other_slot
         slot_of = [None] * len(self.edges)
         for s, e in enumerate(self.slot_edges):
@@ -282,10 +271,11 @@ class LinkDiagram:
 
     @cached_property
     def oriented_mask(self):
-        """Cube coordinates of the oriented resolution."""
+        """Cube coordinates of the oriented resolution: smoothing 0 at a
+        positive crossing, 1 at a negative one."""
         mask = 0
         for i, x in enumerate(self.crossings):
-            mask |= x.oriented_t << i
+            mask |= (x.sign < 0) << i
         return mask
 
     @cached_property

@@ -127,7 +127,7 @@ class FilteredComplex:
     cycle checks apply the differential on demand.  The questions that
     read every degree, ``check_d_squared``, ``homology_rank`` and
     ``homology_dimension``, raise ``ValueError`` unless ``whole``; the
-    last two read one cleared rank sweep, computed on each call.  Each
+    last two read one cleared rank sweep, computed once per complex.  Each
     reads the edge maps, not ``columns``, a view for the tests and the
     benchmark harness.  A degree outside the cube is empty, so -1..0 is
     clipped to the cube.  The basis runs by degree, then t, then subset:
@@ -442,10 +442,12 @@ class FilteredComplex:
         return zero and not any(v for acc in sums.values()
                                 for v in acc.values())
 
+    @cached_property
     def _ranks(self):
         """The rank of the boundary map out of each degree, by one sweep
         in ascending degree with one echelon per map, cleared (Chen and
-        Kerber 2011), holding one degree's vectors, ``_boundaries``.
+        Kerber 2011), holding one degree's vectors, ``_boundaries``.  It
+        runs once per complex; the homology questions read its result.
 
         A pivot row R of the map out of h - 1 is a boundary in degree h,
         led by its smallest index p.  If d(R) = sum R_i d(e_i), read off
@@ -471,7 +473,7 @@ class FilteredComplex:
     def homology_rank(self, h):
         """dim H in degree h: its generators, less the ranks of the maps
         out of h and into h, read from one cleared sweep, ``_ranks``."""
-        ranks = self._ranks()
+        ranks = self._ranks
         return (len(self.by_h.get(h, ())) - ranks.get(h, 0)
                 - ranks.get(h - 1, 0))
 
@@ -479,7 +481,7 @@ class FilteredComplex:
         """The sum of ``homology_rank`` over the cube, with each boundary
         map ranked once by ``_ranks``: every rank is subtracted from the
         degree it leaves and from the degree it enters."""
-        return self.dim - 2 * sum(self._ranks().values())
+        return self.dim - 2 * sum(self._ranks.values())
 
     # -- the quantum filtration grading ------------------------------------
 

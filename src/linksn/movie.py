@@ -7,23 +7,26 @@ moves combinatorially and records what the inequalities need: Euler
 characteristic, the components of the swept surface, the fate of the
 canonical generators, and the move ordering of the genus-bound proof.
 
+``_MOVES`` has one row per move kind: its rewrite, the ids it takes,
+its Euler characteristic (``CHI`` is read off the rows) and its phase
+letters.  Reidemeister kinds are bidirectional: giving ``edges``
+inserts the pattern, giving ``crossings`` removes it.  ``_apply``
+checks a move's id counts against the row and its ids against the
+diagram, so a rewrite checks only its pattern.
+
 One replay generator, ``_replay``, applies the moves and carries a tag
 per edge through saddles, inserted edges and births: ``validate_movie``
 tags edges with the surface sheet they sweep, ``generator_fate`` with a
 generator label.  A removal (``diagram.erase_crossings``) keeps the id
 and the component of every edge that survives it, so only insertions
 report new edges, and ``births`` holds the circles of H0 moves only.
-The move-order check and the slice certificates read the ``Ledger``
-that ``validate_movie`` returns, so one replay serves a whole report.
-They return plain values: ``check_lobb_order`` None or the index of the
-first out-of-order move, ``slice_certificate`` the dict that
-``movie --json`` prints.
-
-``_MOVES`` is the one place that says which ids each kind takes, and
-which rewrite applies it.  Reidemeister kinds are bidirectional: giving
-``edges`` inserts the pattern, giving ``crossings`` removes it.
-``_apply`` checks a move's id counts against the table and its ids
-against the diagram, so a rewrite checks only its pattern.
+``validate_movie`` builds the ``Ledger`` in that one pass: the sheets
+are a list-backed union-find, the sheets H0 moves start a list, and
+each move's phase letter comes from its row.  The move-order check and
+the slice certificates read the ledger, so one replay serves a whole
+report.  They return plain values: ``check_lobb_order`` None or the
+index of the first out-of-order move, ``slice_certificate`` the dict
+that ``movie --json`` prints.
 
 A movie file is JSON lines: ``{"start": PD text}``, then one
 ``Move.to_dict()`` per move, naming edges and crossings as ``parse_pd``
@@ -44,9 +47,6 @@ from .errors import (
     NotEndingInUnlink,
 )
 
-CHI = {"R1+": 0, "R1-": 0, "R2": 0, "R3": 0, "H0": 1, "H1": -1, "H2": 1}
-
-
 @dataclass(frozen=True)
 class Move:
     kind: str
@@ -55,7 +55,7 @@ class Move:
     comment: str = ""
 
     def __post_init__(self):
-        if self.kind not in CHI:
+        if self.kind not in _MOVES:
             raise InapplicableMove(f"unknown move kind {self.kind!r}")
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "crossings", tuple(self.crossings))
@@ -225,16 +225,20 @@ def _h2(d, m, info):
     return LinkDiagram(d.crossings, tuple(x for x in d.loops if x != e))
 
 
-# kind -> (rewrite, the (edge count, crossing count) shapes it takes)
+# kind -> (rewrite, the (edge count, crossing count) shapes it takes,
+# Euler characteristic, phase letters): a move's phase is the first
+# letter unless it leaves fewer components than it found, so an H1 that
+# fuses is U and one that splits is I
 _MOVES = {
-    "R1+": (_r1, ((1, 0), (0, 1))),
-    "R1-": (_r1, ((1, 0), (0, 1))),
-    "R2": (_r2, ((2, 0), (0, 2))),
-    "R3": (_r3, ((0, 3),)),
-    "H0": (_h0, ((0, 0),)),
-    "H1": (_h1, ((2, 0),)),
-    "H2": (_h2, ((1, 0),)),
+    "R1+": (_r1, ((1, 0), (0, 1)), 0, "RR"),
+    "R1-": (_r1, ((1, 0), (0, 1)), 0, "RR"),
+    "R2": (_r2, ((2, 0), (0, 2)), 0, "RR"),
+    "R3": (_r3, ((0, 3),), 0, "RR"),
+    "H0": (_h0, ((0, 0),), 1, "OO"),
+    "H1": (_h1, ((2, 0),), -1, "IU"),
+    "H2": (_h2, ((1, 0),), 1, "TT"),
 }
+CHI = {kind: row[2] for kind, row in _MOVES.items()}
 
 
 def _shape_text(edges, crossings):
@@ -248,7 +252,7 @@ def _apply(d, m):
     lists the circle an H0 creates, ``spliced`` holds H1 arcs.  A removal
     reports nothing: every edge that survives it keeps its id and its
     component."""
-    rewrite, shapes = _MOVES[m.kind]
+    rewrite, shapes = _MOVES[m.kind][:2]
     if (len(m.edges), len(m.crossings)) not in shapes:
         raise InapplicableMove(
             f"{m.kind} takes {' or '.join(_shape_text(*s) for s in shapes)}")
@@ -279,11 +283,11 @@ def _replay(movie, tag, born):
     ``tag`` maps every edge of the start diagram to a tag and is updated
     in place: after a saddle every edge of the joined components carries
     the first arc's tag, an inserted edge takes the tag of the edge it
-    grew from, and an H0 circle without a tag gets ``born(move)``.  Yields (move, the
-    diagram before it, the diagram after it, the pair of tags the saddle
-    joined or None).  An inapplicable move, one on an unknown edge, or one
-    that leaves a frame that is not planar raises InapplicableMove with its
-    index.
+    grew from, and an H0 circle without a tag gets ``born()``.  Yields
+    (move, the diagram before it, the diagram after it, the pair of tags
+    the saddle joined or None).  An inapplicable move, one on an unknown
+    edge, or one that leaves a frame that is not planar raises
+    InapplicableMove with its index.
     """
     d = movie.start
     for i, m in enumerate(movie.moves):
@@ -304,7 +308,7 @@ def _replay(movie, tag, born):
                 tag[new] = tag[parent]
         for e in info["births"]:
             if e not in tag:
-                tag[e] = born(m)
+                tag[e] = born()
         yield m, d, d2, joined
         d = d2
 
@@ -339,59 +343,40 @@ class Ledger:
         }
 
 
-def _classify(kind, fusion):
-    if kind == "H0":
-        return "O"
-    if kind == "H2":
-        return "T"
-    if kind == "H1":
-        return "U" if fusion else "I"
-    return "R"
-
-
 def validate_movie(movie):
     """Replay a movie; returns the Ledger or raises InapplicableMove
     with the index of the offending move."""
     # worldsheet bookkeeping: each link component sweeps out a sheet,
     # tagged on its edges; saddles glue sheets, births start new ones
-    parents = {}
-    h0_sheets = []
+    components = movie.start.components
+    parent = list(range(len(components)))    # sheet -> parent sheet
+    births = []                              # the sheets H0 moves start
 
     def find(s):
-        while parents[s] != s:
-            parents[s] = parents[parents[s]]
-            s = parents[s]
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
         return s
 
-    def new_sheet(m=None):
-        s = len(parents)
-        parents[s] = s
-        if m is not None and m.kind == "H0":
-            h0_sheets.append(s)
-        return s
+    def born():
+        births.append(len(parent))
+        parent.append(len(parent))
+        return births[-1]
 
-    sheet = {}
-    for comp in movie.start.components:
-        s = new_sheet()
-        for e in comp:
-            sheet[e] = s
-    n_start_sheets = len(parents)
-
-    chi = 0
+    sheet = {e: s for s, comp in enumerate(components) for e in comp}
     frames = [movie.start]
     kinds = []
-    for m, d, d2, joined in _replay(movie, sheet, new_sheet):
+    for m, d, d2, joined in _replay(movie, sheet, born):
         if joined:
-            parents[find(joined[0])] = find(joined[1])
-        kinds.append(_classify(m.kind, d2.n_components < d.n_components))
-        chi += CHI[m.kind]
+            parent[find(joined[0])] = find(joined[1])
+        kinds.append(_MOVES[m.kind][3][d2.n_components < d.n_components])
         frames.append(d2)
 
-    k = len({find(s) for s in parents})
-    start_roots = {find(s) for s in range(n_start_sheets)}
-    h0_absorbed = all(find(s) in start_roots for s in h0_sheets)
-    return Ledger(chi=chi, end=frames[-1], frames=frames, kinds=kinds, k=k,
-                  h0_absorbed=h0_absorbed)
+    start_roots = {find(s) for s in range(len(components))}
+    return Ledger(chi=sum(CHI[m.kind] for m in movie.moves), end=frames[-1],
+                  frames=frames, kinds=kinds,
+                  k=len({find(s) for s in range(len(parent))}),
+                  h0_absorbed=all(find(s) in start_roots for s in births))
 
 
 def generator_fate(movie, labeling, birth_label=1):
@@ -408,7 +393,7 @@ def generator_fate(movie, labeling, birth_label=1):
     label = {e: lab for comp, lab in zip(d.components, labeling)
              for e in comp}
     survives = True
-    for _, _, d, joined in _replay(movie, label, lambda m: birth_label):
+    for _, _, d, joined in _replay(movie, label, lambda: birth_label):
         if joined and joined[0] != joined[1]:
             survives = False
     return survives, tuple(label[min(comp)] for comp in d.components)

@@ -1,4 +1,6 @@
 import argparse
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import linksn
 from linksn import cli
 from linksn import diagram as dg
 from linksn import movie as mv
@@ -249,9 +252,52 @@ def test_verify_command():
     assert report["ok"]
 
 
-def test_verify_unknown_property():
-    with pytest.raises(SystemExit):
+def test_verify_unknown_property(capsys):
+    with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--property", "nonsense")
+    assert exc.value.code == 2
+    assert "invalid choice: 'nonsense'" in assert_one_line_error(capsys)
+
+
+def test_argument_errors_exit_2_on_one_line(capsys):
+    for argv in (["movie", "--movie"], [], ["invariant", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
+        assert_one_line_error(capsys)
+
+
+def test_the_benchmark_tracer_wraps_what_the_cli_runs():
+    """The traced benchmark run wraps library callables by name, each in
+    its module or its own class, and reads the ledger and the complex it
+    is handed.  Installing its tracer and running an engine op and a
+    movie op through ``cli.main`` fails here when a rename or a move
+    breaks one of those names; the output is the untraced output."""
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "benchmarks" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod in {mod for targets in spans.LAYERS.values()
+                for mod, _, _ in targets}:
+        importlib.import_module(f"linksn.{mod}")
+    ops = [("invariant", "--braid", "1 -2 1 -2", "--strands", "3"),
+           ("movie", "--movie", str(DATA / "trefoil_genus1_movie.jsonl"),
+            "--n", "2..3")]
+    untraced = [run_cli(*argv) for argv in ops]
+    main, validate = cli.main, mv.validate_movie
+    tracer = spans.Tracer()
+    tracer.install(linksn)
+    try:
+        assert cli.main is not main
+        assert [run_cli(*argv) for argv in ops] == untraced
+    finally:
+        tracer.uninstall()
+    assert (cli.main, mv.validate_movie) == (main, validate)
+    assert tracer.calls["cli.main"] == 2
+    assert tracer.counts["lee.builds"] >= 1 and tracer.counts["lee.nnz"] > 0
+    assert (tracer.counts["movie.replays"], tracer.counts["movie.frames"]) == (
+        1, 6)
+    assert tracer.calls["movie.order"] == 1 and tracer.calls["movie.cert"] >= 1
 
 
 def test_json_report_roundtrips():

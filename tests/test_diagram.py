@@ -247,7 +247,10 @@ def reference_circles(d, t_mask):
         return e
 
     for i, x in enumerate(d.crossings):
-        for u, v in x.smoothing((t_mask >> i) & 1):
+        # smoothing 0 pairs edges (a, b) and (c, d), smoothing 1 (a, d)
+        # and (b, c); 0 is the oriented one at a positive crossing
+        pairs = (((x.a, x.b), (x.c, x.d)), ((x.a, x.d), (x.b, x.c)))
+        for u, v in pairs[(t_mask >> i) & 1]:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv

@@ -101,6 +101,9 @@ def test_homology_dimension_ranks_each_boundary_map_once(monkeypatch):
     assert skipped == [0] + ranks[:-1]
     # the adds that reduce to zero are the homology
     assert sum(not grew for e in made for grew in e.grew) == 2
+    # the sweep runs once per complex: later questions read its ranks
+    assert [cx.homology_rank(h) for h in degrees] == [0, 0, 2, 0, 0]
+    assert cx.homology_dimension() == 2 and len(made) == len(degrees)
 
 
 def test_qgr_rejects_non_cycles():

@@ -320,10 +320,10 @@ def reference_validate(movie):
                     h0_sheets.append(next_id)
                 next_id += 1
         if m.kind == "H1":
-            kinds.append(mv._classify("H1", d2.n_components < d.n_components))
+            kinds.append("U" if d2.n_components < d.n_components else "I")
         else:
-            kinds.append(mv._classify(m.kind, None))
-        chi += mv.CHI[m.kind]
+            kinds.append({"H0": "O", "H2": "T"}.get(m.kind, "R"))
+        chi += {"H0": 1, "H1": -1, "H2": 1}.get(m.kind, 0)
         d = d2
         frames.append(d)
 
