@@ -28,7 +28,6 @@ from .errors import (
     InexactInput,
     InputError,
     MixedN,
-    NotCoprime,
     NotPositiveDiagram,
     NonIntegerGenus,
     TooLarge,
@@ -103,24 +102,6 @@ def torus_splitting(p, q):
     """Exact splitting number of the positive torus link T(p, q)."""
     l = math.gcd(p, q)
     return (l * (l - 1) // 2) * (p // l) * (q // l)
-
-
-def torus_split_schedule(l, p, q):
-    """Crossing changes splitting T(lp, lq) in its standard braid diagram.
-
-    A crossing is scheduled whenever its under-strand belongs to an
-    earlier component than its over-strand; afterwards each component
-    passes entirely over every later one, so the components can be
-    pulled apart.  Returns 0-based crossing indices into
-    ``torus_link(l*p, l*q)``, one block of pq crossings per component
-    pair, for a total of l(l-1)pq/2.
-    """
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"({p}, {q}) are not coprime")
-    d = dg.torus_link(l * p, l * q)
-    comp = d.edge_component
-    return [k for k, x in enumerate(d.crossings)
-            if comp[x.a] < comp[x.over_in]]
 
 
 def sn_diagram_interval(d, n):

@@ -206,8 +206,16 @@ def cmd_verify(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints an argument error without the usage text; subparsers are
-    made of the same class."""
+    """Prints an argument error without the usage text, quoting stray
+    arguments so that one holding a newline stays on one line;
+    subparsers are made of the same class."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: "
+                       f"{' '.join(map(repr, extra))}")
+        return args
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -282,23 +282,6 @@ class LinkDiagram:
     def seifert_circles(self):
         return self.circles(self.oriented_mask)
 
-    def linking_number(self, i, j):
-        """Linking number of components i and j (half the signed crossings)."""
-        comp = self.edge_component
-        total = 0
-        for x in self.crossings:
-            pair = {comp[x.a], comp[x.over_in]}
-            if pair == {i, j}:
-                total += x.sign
-        if total % 2:
-            raise InconsistentDiagram("odd signed crossing count between components")
-        return total // 2
-
-    def is_pairwise_unlinked(self):
-        l = self.n_components
-        return all(self.linking_number(i, j) == 0
-                   for i in range(l) for j in range(i + 1, l))
-
     # -- renumbering ----------------------------------------------------
 
     def canonical(self):
@@ -346,11 +329,13 @@ def parse_pd(text):
             continue
         parts = m.group(2).split()
         if len(parts) != 4:
-            raise MalformedPD(f"crossing X[{m.group(2)}] does not have 4 entries")
+            raise MalformedPD(f"crossing {text[m.start():m.end()]!r} does "
+                              f"not have 4 entries")
         try:
             edges = tuple(int(p) for p in parts)
         except ValueError as exc:
-            raise MalformedPD(f"non-integer edge in X[{m.group(2)}]") from exc
+            raise MalformedPD(f"non-integer edge in "
+                              f"{text[m.start():m.end()]!r}") from exc
         tuples.append((edges, {"": None, "p": 1, "m": -1}[m.group(1)]))
 
     crossings = []

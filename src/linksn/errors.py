@@ -57,10 +57,6 @@ class UnevaluableLeaf(LinkError):
     pass
 
 
-class NotCoprime(InputError):
-    pass
-
-
 class InapplicableMove(LinkError):
     def __init__(self, message, index=None):
         super().__init__(message)

@@ -19,18 +19,19 @@ differential preserves q or drops it by 4.
 Zomorodian 2002; the filtered view of ``s`` in Rasmussen, math/0402131),
 asked from the top down.  Since d keeps q or drops it by 4, the map
 from degree -1 to degree 0 splits into two blocks by q mod 4.  The cut
-of a block at level L keeps its degree-0 rows with q >= L, numbered from
-the highest q down, and eliminates its degree -1 boundaries projected
-onto them.  If a cycle's part in the block leaves a nonzero residue, the
-q of its leading term is that part's filtration level; if not, the level
-lies below L and the next cut is 4 lower.  A cycle's level is the higher
-of its parts' levels.  The pivots above a cut are those of the full
-elimination, so the answer is the same, but no cut reads a row or a
-boundary below it or outside its block, and it skips the sources that
-degree -2 boundaries show to reduce to zero (``_cleared``: one level of
-the clearing of Chen and Kerber 2011, with no degree -2 reduction),
-when finding them visits no more resolutions than the cut adds sources.
-Each cut is built for one residue and dropped before the next is built.
+of a block at level L keeps its degree-0 rows with q >= L, keyed by
+index alone, and eliminates its degree -1 boundaries projected onto
+them.  It answers one yes/no question: is a cycle's part in the block
+above L a combination of those boundaries?  The cuts of a block are
+asked from the part's top q down, 4 apart, and the first that answers
+no is the part's filtration level, L (the proof is in ``qgr``).  A
+cycle's level is the higher of its parts' levels.  No cut reads a row
+or a boundary below it or outside its block, and it skips the sources
+that degree -2 boundaries show to reduce to zero (``_cleared``: one
+level of the clearing of Chen and Kerber 2011, with no degree -2
+reduction), when finding them visits no more resolutions than the cut
+adds sources.  Each cut is built for one residue and dropped before the
+next is built.
 
 The canonical chain g (Lee; Rasmussen, math/0402131) is built in one
 place, ``canonical_cycle``: a product over the Seifert circles at the
@@ -493,15 +494,26 @@ class FilteredComplex:
         by q mod 4 that no boundary mixes, and the chain's level is the
         higher of its two parts' levels.  Each part is asked of cuts of
         its block, from its top q down: the cut at level L keeps the
-        block's rows with q >= L.  If the part above the cut has a nonzero
-        residue modulo the boundaries' parts above it, the residue leads
-        with a term no boundary can cancel, and that term's q is the
-        part's level.  A zero residue means the level lies below L, so the
-        next cut is 4 lower; once the cut holds the whole block it means
-        the part is a boundary.  The part with the higher pending q is
-        asked first, and a part whose pending q cannot beat the level
-        found is not asked.  Each cut is asked one residue and dropped
-        before the next is built.
+        block's rows with q >= L and asks whether the part above L is a
+        combination of the boundaries' parts above L.  A yes moves the
+        block 4 lower; once the cut holds the whole block it means the
+        part is a boundary.  The first no is the part's level, L.
+
+        The persistence reduction keys the rows by q, highest first, and
+        reads the level off the q of the residue's leading term.  That
+        term is L at the first no:
+        - at the part's top q, the part lies at q = L alone;
+        - after a zero residue at L + 4, the part above L equals, modulo
+          the boundaries above L, a chain at q = L alone;
+        - reduction never lowers the leading key, and it stops at a key
+          that no pivot holds, so the residue leads with the highest key,
+          the lowest q, of any leading term of the part plus a boundary:
+          at most L, and at least L, the cut's lowest q.
+        So only whether the residue is zero matters, and the cut keys its
+        rows by index alone.  The part with the higher pending q is asked
+        first, so when one part answers no, the other's pending q, and
+        with it its level, is already lower.  Each cut is asked one
+        residue and dropped before the next is built.
         """
         if not chain:
             raise ZeroClass("the zero chain has no filtration grading")
@@ -511,36 +523,25 @@ class FilteredComplex:
         if not self._is_cycle(groups):
             raise NotACycle("chain is not a cycle")
 
-        dim, start = self.dim, self.start
         terms = []      # (q, index, coefficient)
         for t, group in groups.items():
-            q0, first = self._q0(t), start[t]
+            q0, first = self._q0(t), self.start[t]
             terms += [(q0 + 2 * s.bit_count(), first + s, v)
                       for s, v in group]
         pending = {}    # block q mod 4 -> the highest q its level may have
         for q, _, _ in terms:
-            c = q % 4
-            pending[c] = max(pending.get(c, q), q)
-        level = None
+            pending[q % 4] = max(pending.get(q % 4, q), q)
         while pending:
             c = max(pending, key=pending.get)
-            if level is not None and pending[c] <= level:
-                break
             cut = pending[c]
-            residue = self._cut_at(cut).reduce(
-                {dim * (1 - q) - 1 - i: v for q, i, v in terms
-                 if q >= cut and q % 4 == c})
-            if residue:
-                found = -(min(residue) // dim)
-                level = found if level is None else max(level, found)
-                del pending[c]
-            elif cut <= self._q_floor + 2:
+            if self._cut_at(cut).reduce({-i: v for q, i, v in terms
+                                         if q >= cut and q % 4 == c}):
+                return cut
+            if cut <= self._q_floor + 2:
                 del pending[c]      # the block holds all its rows
             else:
                 pending[c] = cut - 4
-        if level is None:
-            raise ZeroClass("chain is a boundary")
-        return level
+        raise ZeroClass("chain is a boundary")
 
     def _cut_at(self, level):
         """The degree -1 boundaries of the block q = ``level`` mod 4,
@@ -548,14 +549,14 @@ class FilteredComplex:
         echelon.  Its sizes are kept for ``stats`` if it is the block's
         deepest cut tried, the ``Cut`` of lowest level.
 
-        Row i at level q is keyed ``dim * (1 - q) - 1 - i``, so keys run
-        by (q, index) descending and every pivot is a highest-q term.
-        Any order within a q level is valid; on the benchmark braids,
-        descending index leaves 3-9x fewer echelon nonzeros than
-        ascending.  A source's images lie at its own q and 4 below, so a
-        source below the cut or in the other block projects to zero and
-        is never made, nor is one that ``_cleared`` names.  The vectors
-        are added in index order, one resolution at a time.
+        Row i is keyed -i: ``qgr`` asks only whether a residue is zero,
+        which no order of the rows changes.  On the benchmark braids,
+        descending index leaves about as few echelon nonzeros as keys
+        by (q, index) descending, and far fewer than ascending index.  A
+        source's images lie at its own q and 4 below, so a source below
+        the cut or in the other block projects to zero and is never made,
+        nor is one that ``_cleared`` names.  The vectors are added in
+        index order, one resolution at a time.
 
         No q is stored: what an edge adds to the cut depends only on its
         shape, so each shape's kept terms are read from one table,
@@ -591,11 +592,11 @@ class FilteredComplex:
                     if made is None:
                         made = terms[shape] = self._kept(shape, q0, level,
                                                          subsets)
-                    edges.append((made[0] - start[t2], sign, made[1]))
+                    edges.append((-start[t2], sign, made))
                 bit <<= 1
             for s in keep:
-                col = {base - term: sign for base, sign, kept in edges
-                       for term in kept[s]}
+                col = {base - out: sign for base, sign, kept in edges
+                       for out in kept[s]}
                 nnz += len(col)
                 ech.add(col)
         self._cuts_tried += 1
@@ -605,26 +606,22 @@ class FilteredComplex:
 
     def _kept(self, shape, q0, level, subsets):
         """What an edge of ``shape`` out of a degree -1 source adds to the
-        cut at ``level``, as (top, kept), derived from the shape's image
-        table.  ``_cut_at`` keeps it for the one cut it serves: each cut
-        of a block lies below the last, so no later cut reads it.
+        cut at ``level``, derived from the shape's image table.
+        ``_cut_at`` keeps it for the one cut it serves: each cut of a
+        block lies below the last, so no later cut reads it.
 
         The source's q0 and its ``subsets`` in the cut follow from its r,
         the shape's first entry, and the level, so they are the same for
         every edge of one shape in one cut.  The target t2's q0 follows
         from the source's and the edge's shape, ``_target_q0``, so image
         term ``out`` lies at q0(t2) + 2|out| and is kept if that is at
-        least ``level``.  ``kept[s]`` lists subset s's kept terms, each as
-        2 * dim * |out| + out, and ``top`` = dim * (1 - q0(t2)) - 1, so
-        the term's row key is top - start[t2] less the term."""
+        least ``level``.  The table maps each subset s to its kept terms
+        ``out``, whose row is start[t2] + out."""
         images = self._images(shape)
-        q2 = _target_q0(q0, images)
-        least = (level - q2) // 2    # the least |out| kept
-        two_dim = 2 * self.dim
-        return self.dim * (1 - q2) - 1, {
-            s: [two_dim * size + out for image in images
-                for out in (image[s],) if (size := out.bit_count()) >= least]
-            for s in subsets}
+        least = (level - _target_q0(q0, images)) // 2  # the least |out| kept
+        return {s: [out for image in images
+                    if (out := image[s]).bit_count() >= least]
+                for s in subsets}
 
     def _cleared(self, level):
         """Sources of the cut at ``level`` that reduce to zero in it, as a

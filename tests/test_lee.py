@@ -419,6 +419,45 @@ def test_qgr_deepens_the_cut_below_the_chains_top(monkeypatch):
     assert reference_qgr(cx, g) == 3
 
 
+def test_qgr_returns_the_first_cut_that_leaves_a_residue():
+    # each cut is asked whether the chain's part in its block above its
+    # level is a combination of the boundaries there: the cuts before
+    # the last answer yes, and the last one's level is the answer
+    cx = lee.FilteredComplex(dg.parse_braid(*NP_3S10C_2))
+    q_of = reference_q(cx)
+    chains = [cx.canonical_cycle(label) for label in (1, -1)]
+    chains += [cx.h_cycle(p) for p in (0, 1)]
+    for chain in chains:
+        cuts = spy_cuts(cx)
+        level = cx.qgr(chain)
+        residues = [ech.reduce({-i: v for i, v in chain.items()
+                                if q_of[i] >= cut and (q_of[i] - cut) % 4 == 0})
+                    for cut, ech in cuts]
+        assert [bool(r) for r in residues] == [False] * (len(cuts) - 1) + [True]
+        assert cuts[-1][0] == level
+        del cx._cut_at      # the class's method again
+    assert cx.qgr(chains[0]) == 3
+
+
+def test_cut_rows_are_keyed_by_index_alone():
+    # every key of every row that s2 and low_generator eliminate is minus
+    # a degree-0 index in the cut's block at q >= its level
+    for braid in ENGINE_NONPOSITIVE:
+        cx = lee.FilteredComplex(dg.parse_braid(*braid))
+        cuts = spy_cuts(cx)
+        cx.s2()
+        cx.low_generator()
+        q_of = reference_q(cx)
+        assert cuts
+        for level, ech in cuts:
+            assert ech.pivots
+            for row in ech.pivots.values():
+                for key in row:
+                    assert -key in cx.by_h[0]
+                    assert q_of[-key] >= level
+                    assert (q_of[-key] - level) % 4 == 0
+
+
 def test_qgr_on_the_s2_window_never_builds_the_differential(monkeypatch):
     from linksn import verify
 

@@ -135,7 +135,7 @@ def test_cleared_sources_reduce_to_zero_random_braids(word):
             for row, c in whole.columns[whole.start[t] + s]:
                 k = index[rows[row]]
                 if q_of[k] >= level:
-                    col[cx.dim * (1 - q_of[k]) - 1 - k] = c
+                    col[-k] = c
             if not ech.add(col):
                 zero.add(i)
         cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
