@@ -11,6 +11,8 @@ positive crossings is evaluated on its mirror and negated by the
 mirror-knot rule, s_2(K) = -s_2(mirror K) (Rasmussen, math/0402131).
 The trace then ends with that rule.  If the mirror's build raises
 ``TooLarge``, the knot is built as given, so the route refuses nothing.
+A positive diagram whose build raises ``TooLarge`` gets the positive
+formula instead, so only non-positive diagrams are refused.
 
 Expression trees are dataclass nodes, one per rule, listed in ``NODES``
 by type name.  Their fields are the JSON format: ``LinkExpr.to_dict``
@@ -83,12 +85,29 @@ def _positive_formula(d, n):
 
 
 def genus_positive(d):
-    """Slice and Seifert genus of a positive diagram, (g3, g4); equal."""
+    """Seifert and slice genus of a positive diagram, (g3, g4); equal.
+
+    The genus is (c - r + 2p - l)/2 over the diagram's p split pieces
+    (``LinkDiagram.n_pieces``): each piece's Seifert surface from
+    Seifert's algorithm has Euler characteristic r_i - c_i and is of
+    least genus for a positive piece, and tubing the pieces' surfaces
+    together adds their genera, so g4 <= g3 <= (c - r + 2p - l)/2.  For a
+    connected diagram p = 1.
+
+    Conversely (n = 2), a sphere splits one piece L1 from the rest L2, so
+    B^4 is B^3 x I with L1 in one end and the mirror -L2 in the other,
+    and a connected surface of genus g for L in B^4 is a connected
+    cobordism from L1 to -L2, of Euler characteristic 2 - 2g - l.  Its
+    bound |s(L1) - s(-L2)| <= 2g + l - 2, with s(-L2) exact by the
+    disjoint-union rule over the mirrored pieces, each at least minus
+    the piece's own s by the mirror rule, and each piece's s from
+    ``sn_positive``, gives g >= (c - r + 2p - l)/2."""
     if not d.is_positive:
         raise NotPositiveDiagram("diagram has a negative crossing")
-    num = 2 - (len(d.seifert_circles) - d.n_crossings + d.n_components)
+    num = d.n_crossings - len(d.seifert_circles) + 2 * d.n_pieces \
+        - d.n_components
     if num % 2:
-        raise NonIntegerGenus(f"(2-(r-c+l)) = {num} is odd")
+        raise NonIntegerGenus(f"c - r + 2p - l = {num} is odd")
     g = num // 2
     return g, g
 
@@ -210,6 +229,11 @@ class EngineDiagram(LinkExpr):
     applies to knots and names in the trace.  If the mirror's build is
     over the budget (``TooLarge``), the diagram itself is built.  Links
     have no such rule, and a knot with n_- <= n_+ is built directly.
+
+    A positive diagram over the budget is answered by ``sn_positive``,
+    whose trace names the positive formula; within the budget the
+    engine still gives a positive diagram's value, which the formula
+    equals (``verify``'s positive-formula suite checks this).
     """
     diagram: dg.LinkDiagram
 
@@ -225,7 +249,12 @@ class EngineDiagram(LinkExpr):
                 return Mirror(EngineDiagram(dg.mirror(d))).eval(2)
             except TooLarge:
                 pass
-        return _exact(2, lee.s2(d), ["engine: filtered homology at n=2"])
+        try:
+            return _exact(2, lee.s2(d), ["engine: filtered homology at n=2"])
+        except TooLarge:
+            if not d.is_positive:
+                raise
+        return sn_positive(d, 2)
 
     def realize(self):
         return self.diagram

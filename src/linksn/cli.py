@@ -100,6 +100,13 @@ def _diagram_values(d, n_range):
 
 
 def _bounds_dict(d, values, source):
+    """The bounds of a diagram with s_n ``values``, n -> SnValue.
+
+    ``sp_lb`` needs each component's exact s_2.  A component whose
+    self-crossings are all positive has s_2 = -(c - r + 1) over the
+    crossings and Seifert circles of its own diagram, read off one walk,
+    ``LinkDiagram.component_seifert``; only the other components'
+    sublinks are built and given to the engine."""
     bounds = {}
     l = d.n_components
     for n, v in values.items():
@@ -115,8 +122,10 @@ def _bounds_dict(d, values, source):
             bounds["sp_torus"] = ca.torus_splitting(p, q)
     if l > 1 and 2 in values and values[2].exact:
         try:
-            parts = [ca.EngineDiagram(dg.sublink(d, [i])).eval(2)
-                     for i in range(l)]
+            parts = [ca.SnValue(2, r - c - 1, r - c - 1) if positive
+                     else ca.EngineDiagram(dg.sublink(d, [i])).eval(2)
+                     for i, (c, positive, r)
+                     in enumerate(d.component_seifert)]
             bounds["sp_lb"] = ca.sp_lower_bound(values[2], parts, l)
         except (LinkError, ValueError):
             pass

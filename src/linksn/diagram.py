@@ -103,17 +103,7 @@ class LinkDiagram:
         planar exactly when it has c + 2 faces per piece in total.
         """
         other = self._other_slot
-        root = list(range(self.n_crossings))     # crossings joined by edges
-
-        def find(j):
-            while root[j] != j:
-                root[j] = root[root[j]]
-                j = root[j]
-            return j
-
-        for s, s2 in enumerate(other):
-            root[find(s // 4)] = find(s2 // 4)
-        pieces = sum(root[j] == j for j in range(self.n_crossings))
+        pieces = self.n_pieces - len(self.loops)
         faces = 0
         seen = [False] * len(other)
         for s in range(len(other)):
@@ -129,6 +119,24 @@ class LinkDiagram:
                 f"PD is not planar: {faces} faces for {self.n_crossings} "
                 f"crossings in {pieces} connected pieces, where Euler's "
                 f"formula needs {self.n_crossings + 2 * pieces}")
+
+    @cached_property
+    def n_pieces(self):
+        """The split pieces of the diagram: its pieces of crossings joined
+        by edges, found by union-find, and its crossing-free loops."""
+        other = self._other_slot
+        root = list(range(self.n_crossings))
+
+        def find(j):
+            while root[j] != j:
+                root[j] = root[root[j]]
+                j = root[j]
+            return j
+
+        for s, s2 in enumerate(other):
+            root[find(s // 4)] = find(s2 // 4)
+        return (sum(root[j] == j for j in range(self.n_crossings))
+                + len(self.loops))
 
     # -- basic attributes ---------------------------------------------
 
@@ -281,6 +289,39 @@ class LinkDiagram:
     @cached_property
     def seifert_circles(self):
         return self.circles(self.oriented_mask)
+
+    @cached_property
+    def component_seifert(self):
+        """Per component, in the order of ``components``: (c, positive, r)
+        of its own diagram, ``sublink(self, [i])``, that is its
+        self-crossings, whether they are all positive, and its Seifert
+        circles.
+
+        One walk over the edges gives them all: at a crossing of two
+        components the strand runs straight on, as if the other strand
+        were erased, and at a self-crossing it takes the oriented
+        smoothing, from each incoming edge to the other strand's
+        outgoing edge.  Either way it stays on its component, so each
+        circle walked is a Seifert circle of one component's diagram."""
+        comp = self.edge_component
+        l = len(self.components)
+        crossings, positive = [0] * l, [True] * l
+        step = dict(self.successor)     # straight on at every crossing
+        for x in self.crossings:
+            i = comp[x.a]
+            if comp[x.over_in] == i:
+                step[x.a], step[x.over_in] = x.over_out, x.c
+                crossings[i] += 1
+                positive[i] = positive[i] and x.sign > 0
+        circles = [0] * l
+        seen = set()
+        for e in step:
+            if e not in seen:
+                circles[comp[e]] += 1
+                while e not in seen:
+                    seen.add(e)
+                    e = step[e]
+        return tuple(zip(crossings, positive, circles))
 
     # -- renumbering ----------------------------------------------------
 

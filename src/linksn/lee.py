@@ -27,9 +27,10 @@ asked from the part's top q down, 4 apart, and the first that answers
 no is the part's filtration level, L (the proof is in ``qgr``).  A
 cycle's level is the higher of its parts' levels.  No cut reads a row
 or a boundary below it or outside its block, and it skips the sources
-that degree -2 boundaries show to reduce to zero (``_cleared``: one
-level of the clearing of Chen and Kerber 2011, with no degree -2
-reduction), when finding them visits no more resolutions than the cut
+that degree -2 boundaries show to lie in the span of the others
+(``_cleared``: one level of the clearing of Chen and Kerber 2011, with
+no degree -2 reduction, each kernel vector's largest term by (q,
+index)), when finding them visits no more resolutions than the cut
 adds sources.  Each cut is built for one residue and dropped before the
 next is built.
 
@@ -624,16 +625,32 @@ class FilteredComplex:
                 for s in subsets}
 
     def _cleared(self, level):
-        """Sources of the cut at ``level`` that reduce to zero in it, as a
-        0/1 mask over basis indices, found with no reduction, like the
-        apparent pairs of Bauer's "Ripser".
+        """Sources of the cut at ``level`` whose vectors lie in the span of
+        the cut's other sources, as a 0/1 mask over basis indices, found
+        with no reduction, like the apparent pairs of Bauer's "Ripser".
 
         The cut is F_{>=level} of its block, so for a degree -2 generator
         in the block at q >= level, its boundary's terms at q >= level are
-        a kernel vector of the cut (d d = 0).  ``_cut_at`` adds sources in
-        ascending index, so the vector's largest index reduces to zero;
-        it lies in the target of the highest crossing bit with such a term.
-        A target's q0 is read off the edge's shape, ``_target_q0``.
+        a kernel vector of the cut (d d = 0), with every coefficient +-1.
+        Order the sources by (q, index) and clear each kernel vector's
+        largest term.  Vectors with distinct largest terms are triangular
+        in that order, with a unit diagonal, so each cleared source's
+        vector is a combination of the vectors of smaller sources, and so,
+        by induction up the order, of the sources kept: skipping them all
+        leaves the cut's span, its rank, its pivot keys and whether each
+        residue is zero unchanged.  Any one total order would do; by (q,
+        index) more kernel vectors have distinct largest terms than by
+        index alone, so more sources are cleared.
+
+        A kernel vector's largest term is its highest-index term at the
+        generator's own q: d keeps q or drops it by 4, and every term at
+        the generator's q is in the cut.  Its targets lie in ascending
+        index as their crossing bit rises, so the walk takes the highest
+        crossing bit with such a term.  Only a generator with none, one
+        whose every edge merges two of its circles that both carry x,
+        takes its highest-index term at q - 4 in the cut, in a second
+        pass over the edges the first pass walked.  A target's q0 is read
+        off the edge's shape, ``_target_q0``.
 
         A degree -2 resolution's labels follow from a degree -1
         neighbour's, like those of ``_build``: if the edge into that
@@ -670,29 +687,44 @@ class FilteredComplex:
             pending = self._in_cut((level - q0) // 2, r)
             if not pending:
                 continue
+            edges = []      # (first index of the target, images), walked
             bit = 1 << self.n
             for i in reversed(range(self.n)):
                 bit >>= 1
                 if t & bit:
                     continue
                 t2 = t | bit
-                first = start[t2]
                 images = self._images(self._shape(src, r, i, t2))
-                least = (level - _target_q0(q0, images)) // 2  # least |image|
+                edges.append((start[t2], images))
+                # the size of a target subset at the source's own q
+                grow = len(images) - 1
                 left = []
                 for s in pending:
+                    own = s.bit_count() + grow
                     top = -1
                     for image in images:
                         out = image[s]
-                        if out > top and out.bit_count() >= least:
+                        if out > top and out.bit_count() == own:
                             top = out
                     if top < 0:
                         left.append(s)
                     else:
-                        cleared[first + top] = 1
+                        cleared[start[t2] + top] = 1
                 pending = left
                 if not pending:
                     break
+            for s in pending:       # no term at the own q: at q - 4
+                for first, images in edges:
+                    least = (level - _target_q0(q0, images)) // 2
+                    below = s.bit_count() + len(images) - 3
+                    if below < least:
+                        continue
+                    top = max((out for image in images
+                               if (out := image[s]).bit_count() == below),
+                              default=-1)
+                    if top >= 0:
+                        cleared[first + top] = 1
+                        break
         return cleared
 
     # -- canonical generators ----------------------------------------------

@@ -91,14 +91,20 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run_cli("invariant", "--braid", " ".join(["1 -1"] * 8),
                    "--strands", "2")[0] == 2
     assert_one_line_error(capsys)
-    # counts of thousands of digits: 2^100000 generators in the one
-    # resolution of 100 000 strands, C(20000, 10000) resolutions in
-    # degree 0 of 20 000 crossings alternating in sign
-    for word, strands in ("1", "100000"), (" ".join(["1 -1"] * 10000), "2"):
+    # counts of thousands of digits: at least 2^99999 generators in the
+    # two resolutions of a negative crossing on 100 000 strands,
+    # C(20000, 10000) resolutions in degree 0 of 20 000 crossings
+    # alternating in sign
+    for word, strands, count in (
+            ("-1", "100000", "at least 2^99999 generators"),
+            (" ".join(["1 -1"] * 10000), "2", "2^")):
         assert run_cli("invariant", "--braid", word,
                        "--strands", strands)[0] == 2
         err = assert_one_line_error(capsys)
-        assert len(err) < 200 and "budget" in err and "2^" in err, err
+        assert len(err) < 200 and "budget" in err and count in err, err
+    # its mirror is positive: over the budget too, but the positive
+    # formula answers it
+    assert run_cli("invariant", "--braid", "1", "--strands", "100000")[0] == 0
     # sizes past an index: no list of that many strands or crossings is
     # asked for
     huge = "99999999999999999999999"
@@ -182,6 +188,40 @@ def test_bounds_command():
     assert code == 0
     assert report["bounds"]["g4"] == 3
     assert report["bounds"]["g4_lb(n=2)"] == 3
+
+
+def test_bounds_on_split_positive_diagrams():
+    # a 2-component unlink, and trefoil and trefoil side by side: the
+    # genus counts each split piece's Seifert surface
+    for word, genus in ("1 3", 0), ("1 1 1 3 3 3", 2):
+        code, report = run_json("bounds", "--braid", word, "--strands", "4")
+        assert code == 0
+        assert (report["bounds"]["g3"], report["bounds"]["g4"]) == (genus,
+                                                                    genus)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 4), (2, 6), (3, 3), (3, 6),
+                                  (4, 2), (4, 6), (6, 4)])
+def test_bounds_split_positive_torus_links_exactly(p, q):
+    code, report = run_json("bounds", "--torus", str(p), str(q))
+    assert code == 0
+    assert report["bounds"]["sp_lb"] == report["bounds"]["sp_torus"]
+
+
+def test_positive_diagrams_over_the_budget_take_the_formula():
+    # 21 Seifert circles: 2^21 generators in the one resolution of degree 0
+    code, report = run_json("invariant", "--torus", "21", "22")
+    assert code == 0 and report["s_n"]["2"] == {"exact": -420}
+    assert report["trace"] == [
+        "positive diagram: s_n = (1-n)(c-r+1) with c=440, r=21"]
+    code, report = run_json("bounds", "--torus", "22", "44")
+    assert code == 0 and report["s_n"]["2"] == {"exact": -903}
+    bounds = report["bounds"]
+    assert bounds["g3"] == bounds["g4"] == 441
+    assert bounds["sp_lb"] == bounds["sp_torus"] == 462
+    code, report = run_json("invariant", "--braid", "1", "--strands", "100000")
+    assert code == 0 and report["s_n"]["2"] == {"exact": 99998}
+    assert report["bounds"]["g3"] == report["bounds"]["g4"] == 0
 
 
 def test_eval_command(tmp_path):

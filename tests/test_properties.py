@@ -1,5 +1,6 @@
 """Property-based checks on randomly generated braid closures."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,42 +109,105 @@ def test_mirror_window_random_braids(word):
     assert 0 <= total <= 2 * d.n_components - 2
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=8)
-       .filter(lambda word: sum(g < 0 for g in word) >= 2))
-def test_cleared_sources_reduce_to_zero_random_braids(word):
+def cut_columns(cx, whole, level, degree):
+    """The columns of the cut at ``level``, by cx's basis index, from the
+    whole complex's columns: the sources of ``degree`` in the level's
+    block at q >= level, their terms at q >= level, keyed by cx's index
+    (rows keyed by minus it, as ``_cut_at`` keys them)."""
+    generators, rows = reference_generators(cx), reference_generators(whole)
+    index = {g: i for i, g in enumerate(generators)}
+    q_of = reference_q(cx)
+    whole_q = reference_q(whole)
+    cols = {}
+    for j in whole.by_h[degree]:
+        if whole_q[j] < level or (whole_q[j] - level) % 4:
+            continue
+        cols[index[rows[j]] if degree == -1 else j] = {
+            -k: c for row, c in whole.columns[j]
+            if q_of[k := index[rows[row]]] >= level}
+    return cols, q_of
+
+
+def kernel_maxima(cx, whole, level, key):
+    """The cut's sources that some degree -2 kernel vector leads with, by
+    ``key``(q, index): the clearing of ``_cleared`` in that order."""
+    kernel, q_of = cut_columns(cx, whole, level, -2)
+    return {max((-k for k in vec), key=lambda i: key(q_of[i], i))
+            for vec in kernel.values() if vec}
+
+
+def check_clearing(word):
     """Every cut built, eliminated again from the whole complex's columns
-    with no source skipped: each cleared source reduces to zero there,
-    and the echelons are the same."""
+    with no source skipped: each cleared source reduces to zero against
+    the sources kept, and the cut has the rank and the pivot keys of the
+    elimination that skips none.  Cleared sources are kernel vectors'
+    largest terms by (q, index)."""
     d = dg.parse_braid(word, 4)
     cx = lee.FilteredComplex(d)
     cuts = spy_cuts(cx)
     cx.s2()
     cx.qgr(cx.canonical_cycle(-1))
     whole = lee.FilteredComplex(d, whole=True)
-    generators, rows = reference_generators(cx), reference_generators(whole)
-    index = {g: i for i, g in enumerate(generators)}
-    q_of = reference_q(cx)
     deepest = {cut.level: cut for cut in cx._cuts.values()}
     for level, built in cuts:
-        ech, zero = linalg.Echelon(), set()
-        for i in cx.by_h[-1]:
-            if q_of[i] < level or (q_of[i] - level) % 4:
-                continue
-            col = {}
-            t, s = generators[i]
-            for row, c in whole.columns[whole.start[t] + s]:
-                k = index[rows[row]]
-                if q_of[k] >= level:
-                    col[-k] = c
-            if not ech.add(col):
-                zero.add(i)
+        cols, _ = cut_columns(cx, whole, level, -1)
         cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
-        assert cleared <= zero
-        assert built.pivots == ech.pivots
+        assert cleared <= set(cols)
+        every, kept = linalg.Echelon(), linalg.Echelon()
+        for i in sorted(cols):
+            every.add(cols[i])
+            if i not in cleared:
+                kept.add(cols[i])
+        assert all(not kept.reduce(cols[i]) for i in cleared)
+        assert built.rank == every.rank == kept.rank
+        assert set(built.pivots) == set(every.pivots)
         if level in deepest:
-            assert deepest[level].pivots == ech.rank
+            assert deepest[level].pivots == every.rank
             assert deepest[level].cleared == len(cleared)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=8)
+       .filter(lambda word: sum(g < 0 for g in word) >= 2))
+def test_cleared_sources_reduce_to_zero_random_braids(word):
+    check_clearing(word)
+
+
+def test_cleared_sources_lead_kernel_vectors_by_q_then_index():
+    # at level 3 clearing by (q, index) skips 16 sources, and by index
+    # alone it would skip 15; some of the 16 an ascending-index
+    # elimination adds, so the stored pivot rows change, but not their
+    # keys
+    word = [1, 1, -2, -2, -2]
+    check_clearing(word)
+    d = dg.parse_braid(word, 4)
+    cx, whole = lee.FilteredComplex(d), lee.FilteredComplex(d, whole=True)
+    cx.s2()
+    by_index = {}
+    for level in (cut.level for cut in cx._cuts.values()):
+        cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
+        assert cleared == kernel_maxima(cx, whole, level,
+                                        lambda q, i: (q, i))
+        by_index[level] = len(kernel_maxima(cx, whole, level,
+                                            lambda q, i: i))
+    assert by_index == {5: 8, 3: 15} and cx.stats()["cleared"] == 8 + 16
+
+
+def test_clearing_by_two_orders_at_once_fails_the_check(monkeypatch):
+    # the largest terms by (q, index) and by descending index together
+    # are no one order's: their vectors need not be triangular, and
+    # skipping them all loses a source the span needs
+    def mixed(self, level):
+        whole = lee.FilteredComplex(self.diagram, whole=True)
+        mask = bytearray(self.dim)
+        for key in (lambda q, i: (q, i)), (lambda q, i: -i):
+            for i in kernel_maxima(self, whole, level, key):
+                mask[i] = 1
+        return mask
+    check_clearing([-3, -3, 3])
+    monkeypatch.setattr(lee.FilteredComplex, "_cleared", mixed)
+    with pytest.raises(AssertionError):
+        check_clearing([-3, -3, 3])
 
 
 @settings(max_examples=20, deadline=None)
@@ -241,3 +305,34 @@ def test_whole_cube_checks_build_no_columns(monkeypatch):
         assert checks and not failures
     assert len(made) == len(suites) * len(verify.corpus())
     assert all("columns" not in cx.__dict__ for cx in made)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3).filter(bool), min_size=0, max_size=10),
+       st.integers(0, 2))
+def test_component_walk_gives_each_sublink(word, loops):
+    """Each component's self-crossings, their sign and its Seifert circles
+    from one walk equal those of ``sublink(d, [i])``, and a component
+    with positive self-crossings has s_2 = -(c - r + 1) by the engine."""
+    d = dg.disjoint_union(dg.parse_braid(word, 4), dg.unlink(loops)) \
+        if loops else dg.parse_braid(word, 4)
+    walked = d.component_seifert
+    assert len(walked) == d.n_components
+    for i, (c, positive, r) in enumerate(walked):
+        own = dg.sublink(d, [i])
+        assert (c, positive, r) == (own.n_crossings, own.is_positive,
+                                    len(own.seifert_circles))
+        if positive:
+            assert lee.s2(own) == -(c - r + 1)
+
+
+positive_words = st.lists(st.integers(1, 3), min_size=0, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_words, positive_words)
+def test_positive_genus_adds_over_a_disjoint_union(a, b):
+    da, db = dg.parse_braid(a, 4), dg.parse_braid(b, 4)
+    union = dg.disjoint_union(da, db)
+    (ga, _), (gb, _) = ca.genus_positive(da), ca.genus_positive(db)
+    assert ca.genus_positive(union) == (ga + gb, ga + gb)
