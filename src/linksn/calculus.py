@@ -29,9 +29,7 @@ from . import lee
 from .errors import (
     InexactInput,
     InputError,
-    MixedN,
     NotPositiveDiagram,
-    NonIntegerGenus,
     TooLarge,
     UnevaluableLeaf,
 )
@@ -77,15 +75,20 @@ def sn_positive(d, n):
     return _positive_formula(d, n)
 
 
+def positive_formula(c, r, n):
+    """s_n of a positive diagram of c crossings and r Seifert circles."""
+    return (1 - n) * (c - r + 1)
+
+
 def _positive_formula(d, n):
-    """(1-n)(c-r+1) from the crossings and Seifert circles of ``d``."""
+    """``positive_formula`` of ``d``, with its trace."""
     c, r = d.n_crossings, len(d.seifert_circles)
-    return _exact(n, (1 - n) * (c - r + 1),
+    return _exact(n, positive_formula(c, r, n),
                   [f"positive diagram: s_n = (1-n)(c-r+1) with c={c}, r={r}"])
 
 
 def genus_positive(d):
-    """Seifert and slice genus of a positive diagram, (g3, g4); equal.
+    """Seifert and slice genus of a positive diagram, which are equal.
 
     The genus is (c - r + 2p - l)/2 over the diagram's p split pieces
     (``LinkDiagram.n_pieces``): each piece's Seifert surface from
@@ -101,15 +104,16 @@ def genus_positive(d):
     bound |s(L1) - s(-L2)| <= 2g + l - 2, with s(-L2) exact by the
     disjoint-union rule over the mirrored pieces, each at least minus
     the piece's own s by the mirror rule, and each piece's s from
-    ``sn_positive``, gives g >= (c - r + 2p - l)/2."""
+    ``sn_positive``, gives g >= (c - r + 2p - l)/2.
+
+    The numerator is even for every diagram: a piece's Seifert surface
+    is connected and orientable with l_i boundary circles, so
+    r_i - c_i = 2 - 2g_i - l_i, and c - r + 2p - l is twice the sum of
+    the pieces' genera."""
     if not d.is_positive:
         raise NotPositiveDiagram("diagram has a negative crossing")
-    num = d.n_crossings - len(d.seifert_circles) + 2 * d.n_pieces \
-        - d.n_components
-    if num % 2:
-        raise NonIntegerGenus(f"c - r + 2p - l = {num} is odd")
-    g = num // 2
-    return g, g
+    return (d.n_crossings - len(d.seifert_circles) + 2 * d.n_pieces
+            - d.n_components) // 2
 
 
 def torus_g4(p, q):
@@ -166,16 +170,12 @@ def g4_lower_bound(v, l):
     return bound(s_star)
 
 
-def sp_lower_bound(s_link, s_components, l):
-    """Splitting-number lower bound for a link with knot components."""
-    if not s_link.exact or any(not s.exact for s in s_components):
-        raise InexactInput("splitting bound needs exact s_n values")
-    n = s_link.n
-    if any(s.n != n for s in s_components):
-        raise MixedN("mixed n among inputs")
-    defect = abs(s_link.value - sum(s.value for s in s_components)
-                 - (n - 1) * (l - 1))
-    return -(-defect // (2 * (n - 1)))
+def sp_lower_bound(s_link, s_parts, l):
+    """Splitting-number lower bound of an l-component link from the exact
+    s_2 of the link and of each of its components, as integers:
+    ceil(|s_link - sum(s_parts) - (l-1)| / 2), the paper's
+    ceil(|s_n(L) - sum s_n(K_i) - (n-1)(l-1)| / 2(n-1)) at n = 2."""
+    return -(-abs(s_link - sum(s_parts) - (l - 1)) // 2)
 
 
 # -- expression trees --------------------------------------------------------

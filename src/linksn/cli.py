@@ -102,44 +102,44 @@ def _diagram_values(d, n_range):
 def _bounds_dict(d, values, source):
     """The bounds of a diagram with s_n ``values``, n -> SnValue.
 
-    ``sp_lb`` needs each component's exact s_2.  A component whose
-    self-crossings are all positive has s_2 = -(c - r + 1) over the
-    crossings and Seifert circles of its own diagram, read off one walk,
+    ``sp_lb`` needs the exact s_2 of the link, which ``values[2]`` is,
+    and of each component.  A component whose self-crossings are all
+    positive takes the positive formula over the crossings and Seifert
+    circles of its own diagram, read off one walk,
     ``LinkDiagram.component_seifert``; only the other components'
-    sublinks are built and given to the engine."""
+    sublinks are built and given to the engine, and one over its budget
+    leaves ``sp_lb`` out."""
     bounds = {}
     l = d.n_components
     for n, v in values.items():
         bounds[f"g4_lb(n={n})"] = ca.g4_lower_bound(v, l)
     if d.is_positive and d.n_crossings:
-        g3, g4 = ca.genus_positive(d)
-        bounds["g3"] = g3
-        bounds["g4"] = g4
+        bounds["g3"] = bounds["g4"] = ca.genus_positive(d)
     if "torus" in source:
         p, q = source["torus"]
         bounds["g4_torus"] = ca.torus_g4(p, q)
         if l > 1:
             bounds["sp_torus"] = ca.torus_splitting(p, q)
-    if l > 1 and 2 in values and values[2].exact:
+    if l > 1 and 2 in values:
         try:
-            parts = [ca.SnValue(2, r - c - 1, r - c - 1) if positive
-                     else ca.EngineDiagram(dg.sublink(d, [i])).eval(2)
+            parts = [ca.positive_formula(c, r, 2) if positive
+                     else ca.EngineDiagram(dg.sublink(d, [i])).eval(2).value
                      for i, (c, positive, r)
                      in enumerate(d.component_seifert)]
-            bounds["sp_lb"] = ca.sp_lower_bound(values[2], parts, l)
-        except (LinkError, ValueError):
+            bounds["sp_lb"] = ca.sp_lower_bound(values[2].value, parts, l)
+        except TooLarge:
             pass
     return bounds
 
 
 def cmd_diagram(args):
     """``invariant`` and ``bounds``: the same report, but only
-    ``invariant`` fills in the trace.  The empty link gets a report of
-    its own and exit code 2."""
+    ``invariant`` fills in the trace.  The empty link has no s_n, so it
+    exits 2 on the error that the engine or the positive formula raises
+    for it."""
     d, source = _diagram_from_args(args)
-    empty = d.n_components == 0
-    values = {} if empty else _diagram_values(d, args.n)
-    bounds = {} if empty else _bounds_dict(d, values, source)
+    values = _diagram_values(d, args.n)
+    bounds = _bounds_dict(d, values, source)
     trace = ([t for v in values.values() for t in v.trace]
              if args.command == "invariant" else [])
     stats = {"c": d.n_crossings, "r": len(d.seifert_circles),
@@ -150,9 +150,7 @@ def cmd_diagram(args):
              *map(repr, values.values()),
              *(f"{key} = {val}" for key, val in bounds.items()),
              *(f"  # {t}" for t in trace)]
-    if empty:
-        report["error"] = "ExplicitEmpty"
-    return (2 if empty else 0), report, lines
+    return 0, report, lines
 
 
 def cmd_eval(args):

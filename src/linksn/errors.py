@@ -41,14 +41,6 @@ class NotPositiveDiagram(InputError):
     pass
 
 
-class NonIntegerGenus(LinkError):
-    pass
-
-
-class MixedN(InputError):
-    pass
-
-
 class InexactInput(InputError):
     pass
 

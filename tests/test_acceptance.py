@@ -91,10 +91,8 @@ def test_criterion_6_torus_corollaries():
     # sp_lower_bound from engine values meets the schedule length
     for (l, p, q) in ((2, 1, 2), (3, 1, 1)):
         d = dg.torus_link(l * p, l * q)
-        s_link = ca.SnValue(2, *(lee.s2(d),) * 2)
-        parts = [ca.SnValue(2, *(lee.s2(dg.sublink(d, [i])),) * 2)
-                 for i in range(d.n_components)]
-        bound = ca.sp_lower_bound(s_link, parts, d.n_components)
+        parts = [lee.s2(dg.sublink(d, [i])) for i in range(d.n_components)]
+        bound = ca.sp_lower_bound(lee.s2(d), parts, d.n_components)
         assert bound == len(torus_split_schedule(l, p, q))
 
 

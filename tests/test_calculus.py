@@ -1,9 +1,10 @@
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linksn import calculus as ca
@@ -12,7 +13,6 @@ from linksn import diagram as dg
 from linksn import lee
 from linksn.errors import (
     InexactInput,
-    MixedN,
     NotPositiveDiagram,
     TooLarge,
     UnevaluableLeaf,
@@ -33,9 +33,9 @@ def test_positive_formula():
 
 
 def test_positive_genus():
-    assert ca.genus_positive(TREFOIL) == (1, 1)
-    assert ca.genus_positive(dg.torus_link(3, 4)) == (3, 3)
-    assert ca.genus_positive(dg.torus_link(2, 4)) == (1, 1)
+    assert ca.genus_positive(TREFOIL) == 1
+    assert ca.genus_positive(dg.torus_link(3, 4)) == 3
+    assert ca.genus_positive(dg.torus_link(2, 4)) == 1
 
 
 def test_torus_g4():
@@ -207,15 +207,26 @@ def test_g4_lower_bound():
 
 
 def test_sp_lower_bound():
-    s_link = ca.SnValue(2, -3, -3)
-    parts = [ca.SnValue(2, 0, 0)] * 2
-    assert ca.sp_lower_bound(s_link, parts, 2) == 2
-    assert ca.sp_lower_bound(ca.SnValue(2, -4, -4),
-                             [ca.SnValue(2, 0, 0)] * 3, 3) == 3
-    with pytest.raises(MixedN):
-        ca.sp_lower_bound(s_link, [ca.SnValue(3, 0, 0)] * 2, 2)
-    with pytest.raises(InexactInput):
-        ca.sp_lower_bound(ca.SnValue(2, -3, 1), parts, 2)
+    assert ca.sp_lower_bound(-3, [0, 0], 2) == 2
+    assert ca.sp_lower_bound(-4, [0, 0, 0], 3) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_closures(0, 8))
+def test_bounds_prints_the_splitting_bound_of_engine_values(braid):
+    """sp_lb = ceil(|s_2(L) - sum s_2(K_i) - (l-1)| / 2), with every s_2
+    built by the engine itself: no walk over the components, positive
+    formula or mirror route."""
+    word, strands = braid
+    d = dg.parse_braid(word, strands)
+    l = d.n_components
+    assume(2 <= l <= 3)
+    out = io.StringIO()
+    assert cli.main(["bounds", "--braid", " ".join(map(str, word)),
+                     "--strands", str(strands), "--json"], out=out) == 0
+    parts = sum(lee.s2(dg.sublink(d, [i])) for i in range(l))
+    assert json.loads(out.getvalue())["bounds"]["sp_lb"] == \
+        -(-abs(lee.s2(d) - parts - (l - 1)) // 2)
 
 
 def test_diagram_interval():

@@ -49,11 +49,13 @@ def test_invariant_torus():
     assert report["bounds"]["sp_lb"] == 2
 
 
-def test_invariant_empty_pd():
-    code, report = run_json("invariant", "--pd", "")
-    assert code == 2
-    assert report["stats"]["l"] == 0
-    assert report["error"] == "ExplicitEmpty"
+def test_invariant_empty_pd(capsys):
+    # the empty link has no s_n: the engine's and the positive formula's
+    # refusals each exit 2 on one line, with nothing on stdout
+    for argv in (("invariant", "--pd", ""),
+                 ("bounds", "--pd", "", "--n", "3..4", "--json")):
+        assert run_cli(*argv) == (2, ""), argv
+        assert "empty link is undefined" in assert_one_line_error(capsys)
 
 
 def test_invariant_pd_input():
@@ -162,7 +164,7 @@ def test_two_calls_build_the_parser_once(monkeypatch):
 
 def test_n_range_is_checked_before_any_command(tmp_path, capsys):
     # a movie that does not end in an unlink prints no certificate, an
-    # empty diagram prints a report of its own, and "2..3..9" is not
+    # empty diagram has no s_n, and "2..3..9" is not
     # "2..3": each still has its --n checked
     still = tmp_path / "still.jsonl"
     still.write_text('{"start": "X[2,6,3,5] X[4,2,5,1] X[6,4,1,3]"}\n')

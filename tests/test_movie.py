@@ -16,6 +16,7 @@ from linksn.errors import (
     InputError,
     NotEndingInUnlink,
 )
+from test_calculus import braid_closures
 
 DATA = Path(__file__).resolve().parent / "data"
 TREFOIL = dg.parse_braid([1, 1, 1], 2)
@@ -571,6 +572,50 @@ def test_annulus_movie_forces_equality():
     assert led_back.chi == 0
     assert dg.serialize_pd(led_back.end) == dg.serialize_pd(TREFOIL)
     assert lee.s2(TREFOIL) == lee.s2(other)
+
+
+# -- Seifert movies -----------------------------------------------------------
+
+
+def is_kink(x):
+    return bool({x.a, x.over_in} & {x.c, x.over_out})
+
+
+def seifert_movie(d):
+    """A movie from ``d`` to an unlink whose surface is Seifert's.
+
+    While some crossing is not a kink, a saddle joins its under-outgoing
+    edge to its over-incoming one, which runs the first into the crossing
+    again: it becomes a kink and every kink stays one.  Then each kink
+    goes by the R1 of its sign, the last crossing first, so that the
+    indices still to come stay put."""
+    moves = []
+    while (x := next((x for x in d.crossings if not is_kink(x)), None)):
+        moves.append(mv.Move("H1", edges=(x.c, x.over_in)))
+        d = mv.apply_move(d, moves[-1])
+    moves += [mv.Move("R1+" if x.sign > 0 else "R1-", crossings=(k,))
+              for k, x in reversed(list(enumerate(d.crossings)))]
+    return moves
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_closures(0, 8))
+def test_seifert_movies_certify_the_engine_value(braid):
+    """An oracle for certificates that does not come from the movie code:
+    the Seifert movie of a braid closure replays, its surface has
+    Euler characteristic r - c, and its certificates hold s_2 from the
+    engine."""
+    d = dg.parse_braid(*braid)
+    ledger = mv.validate_movie(mv.Movie(d, seifert_movie(d)))
+    m = ledger.end.n_components
+    assert not ledger.end.n_crossings
+    assert ledger.chi + m == len(d.seifert_circles) - d.n_crossings
+    assert ledger.lemma2_certificate()["applies"]
+    certs = [mv.slice_certificate(ledger, n) for n in (2, 3, 4)]
+    assert all(c["lo"] <= c["hi"] for c in certs), certs
+    s2 = lee.s2(d)
+    assert certs[0]["lo"] <= s2 <= certs[0]["hi"]
+    assert s2 - ledger.chi >= m - 1    # s_2 of the m-component unlink
 
 
 # -- files -------------------------------------------------------------------------

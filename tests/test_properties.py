@@ -8,6 +8,7 @@ from linksn import calculus as ca
 from linksn import diagram as dg
 from linksn import lee, linalg
 from linksn import verify
+from test_calculus import braid_closures
 from test_lee import (boundary_columns, reference_d_squared,
                       reference_generators, reference_q, spy_cuts)
 
@@ -334,5 +335,32 @@ positive_words = st.lists(st.integers(1, 3), min_size=0, max_size=8)
 def test_positive_genus_adds_over_a_disjoint_union(a, b):
     da, db = dg.parse_braid(a, 4), dg.parse_braid(b, 4)
     union = dg.disjoint_union(da, db)
-    (ga, _), (gb, _) = ca.genus_positive(da), ca.genus_positive(db)
-    assert ca.genus_positive(union) == (ga + gb, ga + gb)
+    assert ca.genus_positive(union) == \
+        ca.genus_positive(da) + ca.genus_positive(db)
+
+
+@st.composite
+def unions_and_sums(draw):
+    """Disjoint unions and connected sums of mixed-sign braid closures
+    and free loops."""
+    pieces = braid_closures(0, 6).map(lambda b: dg.parse_braid(*b)) | \
+        st.integers(1, 2).map(dg.unlink)
+    d = draw(pieces)
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(pieces)
+        if draw(st.booleans()):
+            d = dg.disjoint_union(d, e)
+        else:
+            d = dg.connect_sum(d, draw(st.integers(0, d.n_components - 1)),
+                               e, draw(st.integers(0, e.n_components - 1)))
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(unions_and_sums())
+def test_seifert_genus_numerator_is_even(d):
+    """c - r + 2p - l is twice the genus of the pieces' Seifert surfaces,
+    so ``genus_positive`` never halves an odd number."""
+    num = d.n_crossings - len(d.seifert_circles) + 2 * d.n_pieces \
+        - d.n_components
+    assert num >= 0 and num % 2 == 0, (d.crossings, d.loops)
