@@ -30,9 +30,10 @@ or a boundary below it or outside its block, and it skips the sources
 that degree -2 boundaries show to lie in the span of the others
 (``_cleared``: one level of the clearing of Chen and Kerber 2011, with
 no degree -2 reduction, each kernel vector's largest term by (q,
-index)), when finding them visits no more resolutions than the cut
-adds sources.  Each cut is built for one residue and dropped before the
-next is built.
+index), in one pass over the edges), when finding them visits no more
+resolutions than the cut adds sources.  ``_in_cut`` states once which
+generators a cut holds.  Each cut is built for one residue and dropped
+before the next is built.
 
 The canonical chain g (Lee; Rasmussen, math/0402131) is built in one
 place, ``canonical_cycle``: a product over the Seifert circles at the
@@ -169,9 +170,12 @@ class FilteredComplex:
             raise TooLarge(f"{_printable(resolutions)} resolutions in "
                            f"degrees {lo}..{hi} exceed the budget of "
                            f"{MAX_GENERATORS} generators")
-        idx = most = 0    # most: the most circles of a degree-0 resolution
+        # h -> r -> how many degree-h resolutions have r circles
+        self._circles = {}
+        idx = 0
         for h, k in zip(range(lo, hi + 1), popcounts):
             first = idx    # degree h's range, its resolutions in ascending t
+            counts = self._circles[h] = {}
             for t in _ascending(self.n, k):
                 # from a neighbour one degree below, if one merges into t
                 dst = self._resolve(t, t if h > lo else 0)
@@ -183,16 +187,15 @@ class FilteredComplex:
                                    f"generators in degrees {lo}..{hi} "
                                    f"exceed the budget of {MAX_GENERATORS}")
                 labels[t] = bytes(dst)    # r <= 20 circles, each < 256
-                if not h and r > most:
-                    most = r
+                counts[r] = counts.get(r, 0) + 1
             self.by_h[h] = range(first, idx)
         self.dim = idx
         # the lowest q of a degree-0 generator, a subset 0 of the
         # resolution with the most circles
-        self._q_floor = -self.writhe - most
+        self._q_floor = -self.writhe - max(self._circles[0])
         self._cuts = {}        # q mod 4 -> the deepest Cut tried, see stats
         self._tables = {}      # (r, lo, hi, split) -> images, see _images
-        self._subsets = {}     # (least, r) -> subsets, see _in_cut
+        self._subsets = {}     # (level, h, r) -> subsets, see _in_cut
         self._cuts_tried = 0
 
     def _resolve(self, t, flips):
@@ -215,15 +218,6 @@ class FilteredComplex:
             if dst is not None:
                 return dst
         return self.diagram.circle_labels(t)
-
-    @cached_property
-    def _circles_at_minus_one(self):
-        """r -> how many degree -1 resolutions have r circles."""
-        counts = {}
-        for t in _ascending(self.n, self.n_minus - 1):
-            r = _count(self.labels[t])
-            counts[r] = counts.get(r, 0) + 1
-        return counts
 
     @cached_property
     def _masks(self):
@@ -357,13 +351,18 @@ class FilteredComplex:
             images = self._tables[shape] = _edge_map(*shape)
         return images
 
-    def _in_cut(self, least, r):
-        """The subsets ``_cut_subsets`` of r circles with |s| >=
-        ``least``, memoized on the complex for its cuts and their
-        clearing, and dropped with it."""
-        subsets = self._subsets.get((least, r))
+    def _in_cut(self, level, h, r):
+        """The subsets s of a degree-h resolution of r circles whose
+        generators lie in the cut at ``level``: q = q0 + 2|s| is at least
+        ``level`` and in its q mod 4 block, for q0 = -r - w - h, the q of
+        subset 0.  The one statement of the rule, for the cut's sources,
+        the clearing's degree -2 generators and its gate; memoized on the
+        complex, and dropped with it."""
+        subsets = self._subsets.get((level, h, r))
         if subsets is None:
-            subsets = self._subsets[least, r] = _cut_subsets(least, r)
+            q0 = -r - self.writhe - h
+            subsets = self._subsets[level, h, r] = _cut_subsets(
+                (level - q0) // 2, r)
         return subsets
 
     # -- chain-level helpers ----------------------------------------------
@@ -576,8 +575,7 @@ class FilteredComplex:
             first = start[t]
             src = self.labels[t]
             r = _count(src)
-            q0 = 1 - r - self.writhe    # at h = -1
-            subsets = self._in_cut((level - q0) // 2, r)
+            subsets = self._in_cut(level, -1, r)
             keep = [s for s in subsets if not cleared[first + s]]
             if not keep:
                 continue
@@ -591,8 +589,8 @@ class FilteredComplex:
                     shape = self._shape(src, r, i, t2)
                     made = terms.get(shape)
                     if made is None:
-                        made = terms[shape] = self._kept(shape, q0, level,
-                                                         subsets)
+                        made = terms[shape] = self._kept(
+                            shape, self._q0(t), level, subsets)
                     edges.append((-start[t2], sign, made))
                 bit <<= 1
             for s in keep:
@@ -643,14 +641,20 @@ class FilteredComplex:
         index alone, so more sources are cleared.
 
         A kernel vector's largest term is its highest-index term at the
-        generator's own q: d keeps q or drops it by 4, and every term at
-        the generator's q is in the cut.  Its targets lie in ascending
-        index as their crossing bit rises, so the walk takes the highest
-        crossing bit with such a term.  Only a generator with none, one
-        whose every edge merges two of its circles that both carry x,
-        takes its highest-index term at q - 4 in the cut, in a second
-        pass over the edges the first pass walked.  A target's q0 is read
-        off the edge's shape, ``_target_q0``.
+        generator's own q, if it has one: d keeps q or drops it by 4, and
+        every term at the generator's q is in the cut.  Its targets lie in
+        ascending index as their crossing bit rises, so one pass walks the
+        edges from the highest crossing bit down and clears the first such
+        term.  A generator tau = (t, s) with none needs no step of its own,
+        since its largest term is cleared for another generator:
+        - a split, or a merge of circles not both carrying x, has a term
+          at the own q, so every edge out of t merges two circles of s;
+        - let e, at t's highest crossing, merge circles A and B: its image
+          sigma of s, at q(tau) - 4, is tau's largest term;
+        - tau' = (t, s without A and B) lies in the same resolution, block
+          and cut, at q(tau') = q(sigma), and e's image of it is sigma;
+        - so the pass walks e first for tau' and clears sigma as the
+          largest term of tau', at its own q.
 
         A degree -2 resolution's labels follow from a degree -1
         neighbour's, like those of ``_build``: if the edge into that
@@ -661,18 +665,18 @@ class FilteredComplex:
 
         Clearing is done only when it costs no more than the cut it
         serves: when the degree -2 resolutions it would visit are no more
-        than the sources the cut would add, counted from the degree -1
-        resolutions' circle counts, ``_circles_at_minus_one``.  Otherwise
-        the mask is all 0.  On an all-negative 2-strand link of c
-        crossings the cut adds at most 2c sources, while clearing would
-        visit all C(c, 2) degree -2 resolutions to skip them.
+        than the sources the cut would add, counted from the build's
+        record of how many degree -1 resolutions have r circles,
+        ``_circles``.  Otherwise the mask is all 0.  On an all-negative
+        2-strand link of c crossings the cut adds at most 2c sources,
+        while clearing would visit all C(c, 2) degree -2 resolutions to
+        skip them.
         """
         cleared = bytearray(self.dim)
         if self.n_minus < 2:
             return cleared      # no degree -2
-        sources = sum(k * len(self._in_cut((level - 1 + r + self.writhe) // 2,
-                                           r))
-                      for r, k in self._circles_at_minus_one.items())
+        sources = sum(k * len(self._in_cut(level, -1, r))
+                      for r, k in self._circles[-1].items())
         if math.comb(self.n, self.n_minus - 2) > sources:
             return cleared
         start, every = self.start, (1 << self.n) - 1
@@ -683,11 +687,9 @@ class FilteredComplex:
             budget -= 1 << r
             if budget < 0:
                 break
-            q0 = 2 - r - self.writhe    # at h = -2
-            pending = self._in_cut((level - q0) // 2, r)
+            pending = self._in_cut(level, -2, r)
             if not pending:
                 continue
-            edges = []      # (first index of the target, images), walked
             bit = 1 << self.n
             for i in reversed(range(self.n)):
                 bit >>= 1
@@ -695,7 +697,6 @@ class FilteredComplex:
                     continue
                 t2 = t | bit
                 images = self._images(self._shape(src, r, i, t2))
-                edges.append((start[t2], images))
                 # the size of a target subset at the source's own q
                 grow = len(images) - 1
                 left = []
@@ -713,18 +714,6 @@ class FilteredComplex:
                 pending = left
                 if not pending:
                     break
-            for s in pending:       # no term at the own q: at q - 4
-                for first, images in edges:
-                    least = (level - _target_q0(q0, images)) // 2
-                    below = s.bit_count() + len(images) - 3
-                    if below < least:
-                        continue
-                    top = max((out for image in images
-                               if (out := image[s]).bit_count() == below),
-                              default=-1)
-                    if top >= 0:
-                        cleared[first + top] = 1
-                        break
         return cleared
 
     # -- canonical generators ----------------------------------------------

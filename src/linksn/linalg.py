@@ -62,9 +62,6 @@ class Echelon:
         self.pivots[min(res)] = res
         return True
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
 
 def rank(vectors):
     ech = Echelon()
@@ -78,4 +75,4 @@ def in_span(vectors, target):
     ech = Echelon()
     for v in vectors:
         ech.add(v)
-    return ech.contains(target)
+    return not ech.reduce(target)

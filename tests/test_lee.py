@@ -822,6 +822,25 @@ ENGINE_NONPOSITIVE = [([1, -2, 1, -2, 1, 2, -1, 2, 1, -2, 1, 2], 3),
                       ([1, 1, -2, 3, -1, -1, 3, -2, 3, 1], 4), NP_3S10C_2]
 
 
+def test_the_build_counts_the_circles_of_each_degree():
+    # the cut's gate reads the degree -1 counts, and qgr's floor the most
+    # circles at degree 0: both as a count over the resolutions' labels
+    from linksn import verify
+    diagrams = [d for _, d, _ in verify.corpus()]
+    diagrams += [dg.parse_braid(*braid) for braid in ENGINE_NONPOSITIVE]
+    for d in diagrams:
+        counts = {}     # h -> r -> resolutions
+        for t in range(1 << d.n_crossings):
+            by_r = counts.setdefault(t.bit_count() - d.n_minus, {})
+            r = max(d.circle_labels(t), default=-1) + 1
+            by_r[r] = by_r.get(r, 0) + 1
+        for cx in lee.FilteredComplex(d), lee.FilteredComplex(d, whole=True):
+            lo, hi = cx.built
+            assert cx._circles == {h: counts[h] for h in range(lo, hi + 1)}
+            q_of = reference_q(cx)
+            assert cx._q_floor == min(q_of[i] for i in cx.by_h[0])
+
+
 def test_keyed_edge_maps_give_the_reference_engine(monkeypatch):
     from linksn import verify
 

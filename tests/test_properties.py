@@ -141,8 +141,9 @@ def check_clearing(word):
     """Every cut built, eliminated again from the whole complex's columns
     with no source skipped: each cleared source reduces to zero against
     the sources kept, and the cut has the rank and the pivot keys of the
-    elimination that skips none.  Cleared sources are kernel vectors'
-    largest terms by (q, index)."""
+    elimination that skips none.  Unless the gate clears none, the
+    cleared sources are exactly the kernel vectors' largest terms by (q,
+    index): one pass over the edges clears every one."""
     d = dg.parse_braid(word, 4)
     cx = lee.FilteredComplex(d)
     cuts = spy_cuts(cx)
@@ -154,6 +155,9 @@ def check_clearing(word):
         cols, _ = cut_columns(cx, whole, level, -1)
         cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
         assert cleared <= set(cols)
+        if cleared:
+            assert cleared == kernel_maxima(cx, whole, level,
+                                            lambda q, i: (q, i))
         every, kept = linalg.Echelon(), linalg.Echelon()
         for i in sorted(cols):
             every.add(cols[i])
@@ -184,14 +188,25 @@ def test_cleared_sources_lead_kernel_vectors_by_q_then_index():
     d = dg.parse_braid(word, 4)
     cx, whole = lee.FilteredComplex(d), lee.FilteredComplex(d, whole=True)
     cx.s2()
-    by_index = {}
-    for level in (cut.level for cut in cx._cuts.values()):
-        cleared = {i for i, c in enumerate(cx._cleared(level)) if c}
-        assert cleared == kernel_maxima(cx, whole, level,
-                                        lambda q, i: (q, i))
-        by_index[level] = len(kernel_maxima(cx, whole, level,
-                                            lambda q, i: i))
+    by_index = {level: len(kernel_maxima(cx, whole, level, lambda q, i: i))
+                for level in (cut.level for cut in cx._cuts.values())}
     assert by_index == {5: 8, 3: 15} and cx.stats()["cleared"] == 8 + 16
+
+
+def test_a_kernel_vector_with_no_own_q_term_is_cleared_in_one_pass():
+    # the figure-eight's cut at level 1 holds one degree -2 kernel vector
+    # whose terms all lie 4 below its generator's q: every edge merges
+    # two circles that carry x.  Its largest term is the largest term of
+    # the generator without the two circles of the highest crossing's
+    # edge, at that one's own q, so the one pass clears it
+    d = dg.parse_braid([1, -2, 1, -2], 3)
+    cx, whole = lee.FilteredComplex(d), lee.FilteredComplex(d, whole=True)
+    kernel, q_of = cut_columns(cx, whole, 1, -2)
+    whole_q = reference_q(whole)
+    below = [vec for j, vec in kernel.items()
+             if vec and all(q_of[-k] == whole_q[j] - 4 for k in vec)]
+    assert len(below) == 1
+    assert cx._cleared(1)[max(-k for k in below[0])]
 
 
 def test_clearing_by_two_orders_at_once_fails_the_check(monkeypatch):
